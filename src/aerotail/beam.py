@@ -139,7 +139,6 @@ class ModalResult:
 class BucklingResult:
     factors: np.ndarray  # positive load multipliers, ascending
     shapes: np.ndarray  # (n_dof, len(factors))
-    raw_eigenvalues: np.ndarray  # all eigenvalues mu of -Kg in the K metric
 
 
 @dataclass
@@ -335,7 +334,7 @@ class BeamModel:
             y_pos = y[:, pos][:, order[:n_modes]]
             vec = scipy.linalg.solve_triangular(chol, y_pos, lower=True, trans="T")
             shapes[self.free, :] = vec
-        return BucklingResult(factors=factors, shapes=shapes, raw_eigenvalues=mu)
+        return BucklingResult(factors=factors, shapes=shapes)
 
     def gravity_load(self, g: float = 9.80665, direction=(0.0, 0.0, -1.0)) -> np.ndarray:
         """Consistent self-weight nodal loads for a uniform acceleration field."""

@@ -13,7 +13,7 @@ plain thickness average, the bending set the z^2-weighted average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,15 +133,10 @@ class PanelDesign:
 
 @dataclass(frozen=True)
 class ABDMatrices:
-    """Classical laminate theory stiffness blocks. B is zero (symmetric)."""
+    """Classical laminate theory stiffness blocks; B vanishes for symmetric stacks."""
 
     A: np.ndarray
     D: np.ndarray
-    B: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.B is None:
-            object.__setattr__(self, "B", np.zeros((3, 3)))
 
 
 def _trig_moments(angles: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from aerotail.aero import FlowConditions, Planform, aero_operators, build_lattice
 from aerotail.aeroelastic import (
     AileronDef,
+    _stability_margin,
     aileron_effectiveness,
     critical_speed,
     divergence_factor,
@@ -178,6 +179,62 @@ class TestDynamic:
 
         with pytest.raises(ValueError, match="no instability"):
             critical_speed(model, lat, flow_of_v, 1.0, 2.0)
+
+
+def flutter_wing():
+    return wing_beam(cg_aft=0.12, gj=1.2e4, ei2=1.7e5, ip=0.35)
+
+
+def reference_critical_speed(model, lat, flow_of_v, v_low, v_high, tol):
+    """Bisection driven by full dynamic_stability solves at every speed."""
+    c_s = rayleigh_damping(model)
+
+    def margin(v):
+        ops = aero_operators(lat, flow_of_v(v), model.nodes)
+        return dynamic_stability(model, ops, c_s=c_s).max_real
+
+    lo, hi = float(v_low), float(v_high)
+    assert margin(lo) < 0.0 <= margin(hi)
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestStabilityMargin:
+    FLOWS = {
+        "mach0": lambda v: FlowConditions(V=v, rho=1.2),
+        "mach05": lambda v: FlowConditions(V=v, rho=1.2, mach=0.5),
+        "rho_of_v": lambda v: FlowConditions(V=v, rho=1.225 * np.exp(-v / 150.0), mach=0.3),
+    }
+
+    @pytest.mark.parametrize("flow", sorted(FLOWS))
+    def test_margin_matches_dynamic_stability(self, flow):
+        model = flutter_wing()
+        lat = wing_lattice()
+        flow_of_v = self.FLOWS[flow]
+        c_s = rayleigh_damping(model)
+        margin = _stability_margin(model, lat, flow_of_v, 0.005)
+        for v in (5.0, 30.0, 60.0, 90.0, 120.0):
+            ops = aero_operators(lat, flow_of_v(v), model.nodes)
+            ref = dynamic_stability(model, ops, c_s=c_s).max_real
+            assert margin(v) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("flow", ["mach0", "mach05"])
+    def test_critical_speed_matches_reference_bisection(self, flow):
+        model = flutter_wing()
+        lat = wing_lattice()
+        flow_of_v = self.FLOWS[flow]
+        vc = critical_speed(model, lat, flow_of_v, 5.0, 120.0, tol=1e-5)
+        assert vc == reference_critical_speed(model, lat, flow_of_v, 5.0, 120.0, 1e-5)
+
+    def test_critical_speed_raises_when_iterations_run_out(self):
+        flow_of_v = self.FLOWS["mach0"]
+        with pytest.raises(RuntimeError, match="max_iter=3"):
+            critical_speed(flutter_wing(), wing_lattice(), flow_of_v, 5.0, 120.0, max_iter=3)
 
 
 class TestAileron:
