@@ -56,7 +56,6 @@ def static_aeroelastic(
     flow: FlowConditions,
     extra_loads: np.ndarray | None = None,
     trim_lift: float | None = None,
-    nonlinear: bool = False,
     tol: float = 1e-10,
     max_iter: int = 30,
 ) -> StaticAeroelasticResult:
@@ -77,17 +76,14 @@ def static_aeroelastic(
     force_scale = max(np.linalg.norm(ops.f_alpha * alpha + extra), lift_scale)
 
     for it in range(1, max_iter + 1):
-        kg = model.geometric_stiffness(u) if nonlinear else None
-        f_int = k @ u + (0.5 * kg @ u if nonlinear else 0.0)
         f_aero = ops.K_a @ u + ops.f_alpha * alpha
-        r_struct = (f_int - f_aero - extra)[free]
+        r_struct = (k @ u - f_aero - extra)[free]
         r_lift = (sz @ f_aero - trim_lift) if trim else 0.0
         if np.linalg.norm(r_struct) <= tol * force_scale and abs(r_lift) <= tol * lift_scale:
             return StaticAeroelasticResult(
                 u=u, alpha=alpha, total_lift=float(sz @ f_aero), iterations=it - 1
             )
-        tangent = k + (kg if nonlinear else 0.0) - ops.K_a
-        tff = tangent[np.ix_(free, free)]
+        tff = (k - ops.K_a)[np.ix_(free, free)]
         if not trim:
             u[free] += scipy.linalg.solve(tff, -r_struct)
             continue

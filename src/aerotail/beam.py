@@ -266,42 +266,15 @@ class BeamModel:
     def _free(self, a: np.ndarray) -> np.ndarray:
         return a[np.ix_(self.free, self.free)]
 
-    def static_solve(
-        self,
-        loads: np.ndarray,
-        nonlinear: bool = False,
-        steps: int = 10,
-        tol: float = 1e-8,
-        max_iter: int = 50,
-    ) -> np.ndarray:
-        """Displacement state under nodal loads; zeros at clamped dofs.
-
-        The nonlinear path augments the internal force with half the
-        geometric stiffness contribution, stepping the load and solving by
-        Newton iteration on the load-stiffened tangent.
-        """
+    def static_solve(self, loads: np.ndarray) -> np.ndarray:
+        """Linear displacement state under nodal loads; zeros at clamped dofs."""
         f = np.asarray(loads, dtype=float)
         if f.shape != (self.n_dof,):
             raise ValueError(f"load vector must have length {self.n_dof}")
-        kff = self._free(self.stiffness())
-        if not nonlinear:
-            u = np.zeros(self.n_dof)
-            u[self.free] = scipy.linalg.solve(kff, f[self.free], assume_a="pos")
-            return u
         u = np.zeros(self.n_dof)
-        scale = max(np.linalg.norm(f[self.free]), 1.0)
-        for step in range(1, steps + 1):
-            target = (step / steps) * f
-            for _ in range(max_iter):
-                kg = self.geometric_stiffness(u)
-                resid = target - self.stiffness() @ u - 0.5 * kg @ u
-                if np.linalg.norm(resid[self.free]) <= tol * scale:
-                    break
-                tangent = kff + self._free(kg)
-                du = scipy.linalg.solve(tangent, resid[self.free], assume_a="sym")
-                u[self.free] += du
-            else:
-                raise RuntimeError(f"Newton stalled at load step {step}/{steps}")
+        u[self.free] = scipy.linalg.solve(
+            self._free(self.stiffness()), f[self.free], assume_a="pos"
+        )
         return u
 
     def modal(self, n_modes: int) -> ModalResult:

@@ -17,12 +17,9 @@ import sys
 
 import numpy as np
 
-from .aero import FlowConditions, aero_operators
-from .aeroelastic import dynamic_stability, static_aeroelastic
-from .compare import compare_aeroelastic, compare_modal, compare_static
+from .aeroelastic import dynamic_stability
+from .compare import compare_aeroelastic, compare_modal, compare_static, tip_response
 from .config import ConfigError, load_config
-from .constraints import GRAVITY
-from .fidelity import make_hf, make_lf
 from .mfopt import trmm_optimize
 from .report import (
     comparison_rows,
@@ -77,34 +74,18 @@ def _output_dir(args, cfg) -> str:
     return out
 
 
-def _flow(lc) -> FlowConditions:
-    return FlowConditions(V=lc.V, rho=lc.rho, alpha=lc.alpha, mach=lc.mach)
-
-
-def _build(cfg, level):
-    if level == "LF":
-        return make_lf(cfg.definition, cfg.loadcases, cfg.lf_fidelity)
-    return make_hf(cfg.definition, cfg.loadcases, cfg.hf_fidelity)
-
-
 def _analyze(args, cfg, out) -> None:
-    analysis = _build(cfg, args.level)
+    lf, hf = cfg.analyses()
+    analysis = lf if args.level == "LF" else hf
     model = analysis.build_model(cfg.initial_design())
     beam = model.beam
     tag = f"{args.case}_{args.level}"
     if args.case == "static":
-        tip = beam.n_nodes - 1
-        fz = np.zeros(beam.n_dof)
-        fz[6 * tip + 2] = 1.0
-        my = np.zeros(beam.n_dof)
-        my[6 * tip + 4] = 1.0
-        uz = beam.static_solve(fz)
-        ur = beam.static_solve(my)
         payload = {
             "case": "static",
             "level": args.level,
-            "tip_deflection_per_unit_force": uz[6 * tip + 2],
-            "tip_twist_per_unit_torque": ur[6 * tip + 4],
+            "tip_deflection_per_unit_force": tip_response(model, 2),
+            "tip_twist_per_unit_torque": tip_response(model, 4),
         }
         write_json(os.path.join(out, f"{tag}.json"), payload)
     elif args.case == "modal":
@@ -119,23 +100,12 @@ def _analyze(args, cfg, out) -> None:
             {"case": "modal", "level": args.level, "omega": res.omega},
         )
     elif args.case == "buckling":
-        lc = cfg.loadcases[0]
-        flow = _flow(lc)
-        ops = aero_operators(model.lattice, flow, beam.nodes)
-        factor = lc.load_factor if lc.load_factor is not None else 1.0
-        fe = beam.gravity_load(g=GRAVITY * factor)
-        trim = None
-        if lc.load_factor is not None:
-            trim = lc.load_factor * GRAVITY * (
-                cfg.definition.supported_mass + beam.total_mass()
-            )
-        res = static_aeroelastic(beam, ops, flow, extra_loads=fe, trim_lift=trim)
-        loads = ops.K_a @ res.u + ops.f_alpha * res.alpha + fe
+        _, loads = analysis.trim(model, 0)
         buck = beam.buckling(loads, n_modes=8)
         payload = {
             "case": "buckling",
             "level": args.level,
-            "load_case": lc.name,
+            "load_case": cfg.loadcases[0].name,
             "factors": buck.factors,
             "note": "" if buck.factors.size else
             "no compressive prestress under this load case",
@@ -149,8 +119,8 @@ def _analyze(args, cfg, out) -> None:
     elif args.case == "flutter":
         rows = []
         eigs_per_case = {}
-        for lc in cfg.loadcases:
-            ops = aero_operators(model.lattice, _flow(lc), beam.nodes)
+        for i_lc, lc in enumerate(cfg.loadcases):
+            _, ops, _ = analysis.operators(i_lc)
             res = dynamic_stability(beam, ops, n_keep=args.modes)
             eigs_per_case[lc.name or f"case_{len(eigs_per_case)}"] = res.eigenvalues
             for i, z in enumerate(res.eigenvalues):
@@ -177,17 +147,8 @@ def _analyze(args, cfg, out) -> None:
     else:  # trim
         results = {}
         rows = []
-        for lc in cfg.loadcases:
-            ops = aero_operators(model.lattice, _flow(lc), beam.nodes)
-            factor = lc.load_factor if lc.load_factor is not None else 1.0
-            fe = beam.gravity_load(g=GRAVITY * factor)
-            trim = None
-            if lc.load_factor is not None:
-                trim = lc.load_factor * GRAVITY * (
-                    cfg.definition.supported_mass + beam.total_mass()
-                )
-            res = static_aeroelastic(beam, ops, _flow(lc), extra_loads=fe,
-                                     trim_lift=trim)
+        for i_lc, lc in enumerate(cfg.loadcases):
+            res, _ = analysis.trim(model, i_lc)
             tip = beam.n_nodes - 1
             name = lc.name or f"case_{len(results)}"
             results[name] = {
@@ -209,8 +170,7 @@ def _analyze(args, cfg, out) -> None:
 
 
 def _compare(args, cfg, out) -> None:
-    lf = _build(cfg, "LF").build_model(cfg.initial_design())
-    hf = _build(cfg, "HF").build_model(cfg.initial_design())
+    lf, hf = (a.build_model(cfg.initial_design()) for a in cfg.analyses())
     if args.case == 1:
         rep = compare_static(lf, hf)
         header, rows = comparison_rows(
@@ -231,7 +191,7 @@ def _compare(args, cfg, out) -> None:
         write_json(os.path.join(out, "case2_report.json"), report_payload(rep))
         return
     lc = cfg.loadcases[0]
-    rep = compare_aeroelastic(lf, hf, _flow(lc))
+    rep = compare_aeroelastic(lf, hf, lc.flow)
     lf_eigs = rep.eigenvalue_tables["lf_eigenvalues"]
     hf_eigs = rep.eigenvalue_tables["hf_eigenvalues"]
     for part, name in ((np.real, "real"), (np.imag, "imag")):

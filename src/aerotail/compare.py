@@ -23,6 +23,7 @@ __all__ = [
     "mac_matrix",
     "relative_error",
     "shared_node_dofs",
+    "tip_response",
     "compare_static",
     "compare_modal",
     "compare_aeroelastic",
@@ -106,7 +107,8 @@ class ComparisonReport:
     flags: dict = field(default_factory=dict)
 
 
-def _tip_response(model: WingModel, dof_offset: int) -> float:
+def tip_response(model: WingModel, dof_offset: int) -> float:
+    """Tip displacement component `dof_offset` under a unit tip load on it."""
     beam = model.beam
     tip = beam.n_nodes - 1
     loads = np.zeros(beam.n_dof)
@@ -127,10 +129,10 @@ def compare_static(
     relative errors; flags whether bending stays below its threshold while
     torsion exceeds its own (the expected knockdown signature).
     """
-    w_lf = _tip_response(lf, 2)
-    w_hf = _tip_response(hf, 2)
-    ry_lf = _tip_response(lf, 4)
-    ry_hf = _tip_response(hf, 4)
+    w_lf = tip_response(lf, 2)
+    w_hf = tip_response(hf, 2)
+    ry_lf = tip_response(lf, 4)
+    ry_hf = tip_response(hf, 4)
     e_bend = relative_error(w_lf, w_hf)
     e_tors = relative_error(ry_lf, ry_hf)
     return ComparisonReport(

@@ -9,7 +9,7 @@ ConfigError carrying a readable message.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import jsonschema
@@ -60,16 +60,7 @@ class OptimizerSettings:
     subproblem_tol: float = 1.0e-8
 
     def kwargs(self) -> dict:
-        return {
-            "budget": self.budget,
-            "max_iter": self.max_iter,
-            "delta0": self.delta0,
-            "delta_max": self.delta_max,
-            "delta_min": self.delta_min,
-            "merit_weight": self.merit_weight,
-            "step_tol": self.step_tol,
-            "subproblem_tol": self.subproblem_tol,
-        }
+        return asdict(self)
 
 
 @dataclass

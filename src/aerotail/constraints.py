@@ -33,7 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aero import FlowConditions, aero_operators
-from .aeroelastic import aileron_operators, aileron_solve, dynamic_stability, static_aeroelastic
+from .aeroelastic import (
+    StaticAeroelasticResult,
+    aileron_operators,
+    aileron_solve,
+    dynamic_stability,
+    static_aeroelastic,
+)
 from .fidelity import (
     FidelityConfig,
     WingDefinition,
@@ -86,6 +92,10 @@ class LoadCase:
             raise ValueError("load case needs positive V and rho")
         if self.alpha_min >= self.alpha_max:
             raise ValueError("alpha bounds must satisfy alpha_min < alpha_max")
+
+    @property
+    def flow(self) -> FlowConditions:
+        return FlowConditions(V=self.V, rho=self.rho, alpha=self.alpha, mach=self.mach)
 
 
 def constraint_length(n_lc: int, n_panels: int, n_regions: int, n_stations: int) -> int:
@@ -266,7 +276,7 @@ class WingAnalysis:
         panels = unpack_design(x, self.definition.n_panels)
         return build_wing_model(self.definition, panels, self.fidelity)
 
-    def _aero_operators(self, i_lc: int):
+    def operators(self, i_lc: int):
         """(flow, aero operators, aileron operators or None) of load case i_lc."""
         if self._aero is None:
             defn = self.definition
@@ -274,7 +284,7 @@ class WingAnalysis:
             lattice = wing_lattice(defn, self.fidelity)
             built = []
             for lc in self.loadcases:
-                flow = FlowConditions(V=lc.V, rho=lc.rho, alpha=lc.alpha, mach=lc.mach)
+                flow = lc.flow
                 ail = (
                     aileron_operators(lattice, nodes, flow, defn.aileron)
                     if self._have("ae")
@@ -283,6 +293,26 @@ class WingAnalysis:
                 built.append((flow, aero_operators(lattice, flow, nodes), ail))
             self._aero = built
         return self._aero[i_lc]
+
+    def trim(self, model: WingModel, i_lc: int) -> tuple[StaticAeroelasticResult, np.ndarray]:
+        """Flight state of load case i_lc and the total nodal load it carries.
+
+        Gravity is scaled by the load factor; with a load factor the rigid
+        incidence is trimmed to the lift target.  The load is aero plus
+        gravity at the trimmed state, K_a u + f_alpha alpha + gravity.
+        """
+        lc = self.loadcases[i_lc]
+        beam = model.beam
+        flow, ops, _ = self.operators(i_lc)
+        factor = lc.load_factor if lc.load_factor is not None else 1.0
+        fe = beam.gravity_load(GRAVITY * factor)
+        target = None
+        if lc.load_factor is not None:
+            target = lc.load_factor * GRAVITY * (
+                self.definition.supported_mass + beam.total_mass()
+            )
+        res = static_aeroelastic(beam, ops, flow, extra_loads=fe, trim_lift=target)
+        return res, ops.K_a @ res.u + ops.f_alpha * res.alpha + fe
 
     # -- evaluation ---------------------------------------------------------
 
@@ -311,14 +341,8 @@ class WingAnalysis:
         defn = self.definition
         lay = self.layout
         beam = model.beam
-        flow, ops, ail_ops = self._aero_operators(i_lc)
-        factor = lc.load_factor if lc.load_factor is not None else 1.0
-        fe = beam.gravity_load(GRAVITY * factor)
-        if lc.load_factor is not None:
-            target = lc.load_factor * GRAVITY * (defn.supported_mass + beam.total_mass())
-            res = static_aeroelastic(beam, ops, flow, extra_loads=fe, trim_lift=target)
-        else:
-            res = static_aeroelastic(beam, ops, flow, extra_loads=fe)
+        _, ops, ail_ops = self.operators(i_lc)
+        res, loads = self.trim(model, i_lc)
 
         if self._have("tw"):
             strains = beam.element_mid_strains(res.u)
@@ -336,7 +360,6 @@ class WingAnalysis:
             )
 
         if self._have("b"):
-            loads = ops.K_a @ res.u + ops.f_alpha * res.alpha + fe
             buck = beam.buckling(loads, n_modes=N_BUCKLING * len(lay.regions) + 8)
             elem_region = model.element_region()
             per_region = {r: [] for r in lay.regions}
@@ -382,23 +405,14 @@ class WingAnalysis:
 
     # -- derivatives --------------------------------------------------------
 
-    def mass_gradient(self, x=None) -> np.ndarray:
+    def mass_gradient(self, x) -> np.ndarray:
         """Closed-form objective gradient; nonzero only on thickness entries.
 
         Wall areas are fixed geometry, so the gradient does not depend on x.
         """
-        defn = self.definition
-        panels = (
-            unpack_design(x, defn.n_panels) if x is not None else self._unit_panels()
-        )
-        model = build_wing_model(defn, panels, self.fidelity)
-        g = np.zeros(defn.n_variables)
-        g[VARS_PER_PANEL - 1 :: VARS_PER_PANEL] = model.mass_thickness_gradient()
+        g = np.zeros(self.definition.n_variables)
+        g[VARS_PER_PANEL - 1 :: VARS_PER_PANEL] = self.build_model(x).mass_thickness_gradient()
         return g
-
-    def _unit_panels(self):
-        lp = LaminationParameters(np.zeros(4), np.zeros(4))
-        return [PanelDesign(lp, 1e-3) for _ in range(self.definition.n_panels)]
 
     def gradients(self, x) -> GradientResult:
         x = np.asarray(x, dtype=float)

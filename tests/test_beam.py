@@ -202,32 +202,6 @@ class TestBuckling:
         assert res.factors.size == 0
 
 
-class TestNonlinear:
-    def setup_method(self):
-        sec = prescribed_section(EA, 1e9, 1e9, GJ, EI2, EI3, mu=MU, i_polar=IP)
-        self.m = cantilever_model(sec, L, 12)
-
-    def test_tension_stiffens(self):
-        # axial magnitude stays below the Euler load (about 41 kN)
-        f_lat = tip_load(self.m, 2, 300.0)
-        lin = self.m.static_solve(f_lat)[-4]
-        tens = self.m.static_solve(f_lat + tip_load(self.m, 0, 2e4), nonlinear=True)[-4]
-        comp = self.m.static_solve(f_lat + tip_load(self.m, 0, -2e4), nonlinear=True)[-4]
-        assert abs(tens) < abs(lin) < abs(comp)
-
-    def test_residual_converged(self):
-        f = tip_load(self.m, 2, 300.0) + tip_load(self.m, 0, 4e4)
-        u = self.m.static_solve(f, nonlinear=True)
-        r = f - self.m.stiffness() @ u - 0.5 * self.m.geometric_stiffness(u) @ u
-        assert np.linalg.norm(r[self.m.free]) <= 1e-8 * np.linalg.norm(f[self.m.free])
-
-    def test_matches_linear_at_small_load(self):
-        f = tip_load(self.m, 2, 1e-3)
-        lin = self.m.static_solve(f)
-        non = self.m.static_solve(f, nonlinear=True)
-        assert np.allclose(lin[self.m.free], non[self.m.free], rtol=1e-6)
-
-
 class TestFrames:
     def test_orthonormal_right_handed(self):
         rng = np.random.default_rng(0)

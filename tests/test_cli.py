@@ -7,6 +7,9 @@ import pytest
 
 import aerotail
 from aerotail.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
+from aerotail.compare import compare_static
+from aerotail.config import load_config
+from aerotail.report import format_value
 
 TOY = os.path.join(os.path.dirname(aerotail.__file__), "data", "toy_two_panel.json")
 DEFAULT = os.path.join(os.path.dirname(aerotail.__file__), "data", "wing_default.json")
@@ -101,6 +104,43 @@ class TestAnalyze:
                    "--modes", "0", "--out", out)
         assert code == EXIT_ANALYSIS
         assert "error: analysis:" in capsys.readouterr().err
+
+
+class TestMatchesConstraintStack:
+    """The CLI reports the same flight states as the constraint stack."""
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_trim_matches_evaluate_details(self, tmp_path, level):
+        cfg = load_config(TOY)
+        lf, hf = cfg.analyses()
+        details = (lf if level == "LF" else hf).evaluate(cfg.initial_design()).details
+        out = str(tmp_path / "o")
+        assert run("analyze", "--case", "trim", "--config", TOY,
+                   "--level", level, "--out", out) == EXIT_OK
+        doc = json.loads(open(os.path.join(out, f"trim_{level}.json")).read())
+        assert len(doc["results"]) == len(cfg.loadcases)
+        for i, lc in enumerate(cfg.loadcases):
+            got = doc["results"][lc.name]
+            want = details[i]
+            for key, ref in (("alpha_rad", "alpha"), ("total_lift", "total_lift"),
+                             ("tip_deflection", "tip_deflection"),
+                             ("tip_twist", "tip_twist")):
+                assert format_value(got[key]) == format_value(want[ref]), (lc.name, key)
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_static_matches_compare_static(self, tmp_path, level):
+        cfg = load_config(TOY)
+        lf, hf = (a.build_model(cfg.initial_design()) for a in cfg.analyses())
+        rep = compare_static(lf, hf)
+        want = rep.lf_values if level == "LF" else rep.hf_values
+        out = str(tmp_path / "o")
+        assert run("analyze", "--case", "static", "--config", TOY,
+                   "--level", level, "--out", out) == EXIT_OK
+        doc = json.loads(open(os.path.join(out, f"static_{level}.json")).read())
+        assert format_value(doc["tip_deflection_per_unit_force"]) == format_value(
+            want["tip_deflection"])
+        assert format_value(doc["tip_twist_per_unit_torque"]) == format_value(
+            want["tip_twist"])
 
 
 class TestCompare:
