@@ -93,21 +93,9 @@ class Lattice:
     def area(self) -> float:
         return float(self.areas.sum())
 
-    def as_dict(self) -> dict:
-        return {
-            "nx": self.nx,
-            "ny": self.ny,
-            "a_pts": self.a_pts.tolist(),
-            "b_pts": self.b_pts.tolist(),
-            "control_points": self.cpts.tolist(),
-            "load_points": self.load_pts.tolist(),
-            "spanwise_width": self.dy.tolist(),
-            "areas": self.areas.tolist(),
-        }
 
-
-def build_lattice(planform: Planform, nx: int, ny: int, x_le: float = 0.0) -> Lattice:
-    """Uniform lattice with nx chordwise rows and ny spanwise strips."""
+def build_lattice(planform: Planform, nx: int, ny: int) -> Lattice:
+    """Uniform lattice with nx chordwise rows and ny spanwise strips, leading edge at x = 0."""
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
     y_edges = np.linspace(0.0, planform.semi_span, ny + 1)
@@ -119,10 +107,10 @@ def build_lattice(planform: Planform, nx: int, ny: int, x_le: float = 0.0) -> La
         for i in range(nx):
             fa = (i + 0.25) / nx
             fc = (i + 0.75) / nx
-            a_pts.append([x_le + fa * c0, y0, 0.0])
-            b_pts.append([x_le + fa * c1, y1, 0.0])
-            cpts.append([x_le + fc * cm, ym, 0.0])
-            load_pts.append([x_le + fa * cm, ym, 0.0])
+            a_pts.append([fa * c0, y0, 0.0])
+            b_pts.append([fa * c1, y1, 0.0])
+            cpts.append([fc * cm, ym, 0.0])
+            load_pts.append([fa * cm, ym, 0.0])
             dy.append(y1 - y0)
             areas.append((y1 - y0) * cm / nx)
     return Lattice(
@@ -202,14 +190,13 @@ def steady_solve(
     lattice: Lattice,
     flow: FlowConditions,
     alpha_eff: np.ndarray | None = None,
-    aic: np.ndarray | None = None,
 ) -> SteadyResult:
     """Circulations and panel lifts for the given incidence distribution.
 
     alpha_eff is the per-panel control point incidence; defaults to the
     rigid flow.alpha everywhere.
     """
-    w = aic_matrix(lattice, flow.mach) if aic is None else aic
+    w = aic_matrix(lattice, flow.mach)
     alpha = np.full(lattice.n_panels, flow.alpha) if alpha_eff is None else np.asarray(alpha_eff)
     gamma = np.linalg.solve(w, -flow.V * alpha)
     lift = flow.rho * flow.V * gamma * lattice.dy
@@ -271,8 +258,6 @@ class AeroOperators:
     f_alpha: np.ndarray
     t_load: np.ndarray
     t_wash: np.ndarray
-    t_vel: np.ndarray
-    aic: np.ndarray
 
 
 def aero_operators(lattice: Lattice, flow: FlowConditions, nodes: np.ndarray) -> AeroOperators:
@@ -286,6 +271,4 @@ def aero_operators(lattice: Lattice, flow: FlowConditions, nodes: np.ndarray) ->
     k_a = -flow.rho * flow.V**2 * load_scaled @ winv_wash
     d_a = flow.rho * flow.V * load_scaled @ winv_vel
     f_alpha = -flow.rho * flow.V**2 * load_scaled @ winv_one
-    return AeroOperators(
-        K_a=k_a, D_a=d_a, f_alpha=f_alpha, t_load=t_load, t_wash=t_wash, t_vel=t_vel, aic=w
-    )
+    return AeroOperators(K_a=k_a, D_a=d_a, f_alpha=f_alpha, t_load=t_load, t_wash=t_wash)

@@ -35,6 +35,10 @@ from .beam import BeamModel
 _REAL_EIG_TOL = 1e-8
 _DEGENERATE_TOL = 1e-6
 
+ZETA = 0.005  # structural damping ratio at the two lowest modes
+_TRIM_TOL = 1e-10  # relative residual of the static equilibrium and the lift target
+_TRIM_MAX_ITER = 30
+
 
 def _z_indicator(n_dof: int) -> np.ndarray:
     s = np.zeros(n_dof)
@@ -56,8 +60,6 @@ def static_aeroelastic(
     flow: FlowConditions,
     extra_loads: np.ndarray | None = None,
     trim_lift: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 30,
 ) -> StaticAeroelasticResult:
     """Equilibrium of the flexible wing in the given flow.
 
@@ -75,11 +77,12 @@ def static_aeroelastic(
     lift_scale = max(abs(trim_lift) if trim else 0.0, np.abs(ops.f_alpha).sum(), 1.0)
     force_scale = max(np.linalg.norm(ops.f_alpha * alpha + extra), lift_scale)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _TRIM_MAX_ITER + 1):
         f_aero = ops.K_a @ u + ops.f_alpha * alpha
         r_struct = (k @ u - f_aero - extra)[free]
         r_lift = (sz @ f_aero - trim_lift) if trim else 0.0
-        if np.linalg.norm(r_struct) <= tol * force_scale and abs(r_lift) <= tol * lift_scale:
+        if (np.linalg.norm(r_struct) <= _TRIM_TOL * force_scale
+                and abs(r_lift) <= _TRIM_TOL * lift_scale):
             return StaticAeroelasticResult(
                 u=u, alpha=alpha, total_lift=float(sz @ f_aero), iterations=it - 1
             )
@@ -115,15 +118,15 @@ def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
     return float(pos.min()) if pos.size else float("inf")
 
 
-def rayleigh_damping(model: BeamModel, zeta: float = 0.005) -> np.ndarray:
-    """Mass plus stiffness proportional damping, zeta at the two lowest modes."""
+def rayleigh_damping(model: BeamModel) -> np.ndarray:
+    """Mass plus stiffness proportional damping, ZETA at the two lowest modes."""
     res = model.modal(min(2, model.free.size))
     w = res.omega
     if w.size >= 2 and w[0] > 0.0:
-        a = 2.0 * zeta * w[0] * w[1] / (w[0] + w[1])
-        b = 2.0 * zeta / (w[0] + w[1])
+        a = 2.0 * ZETA * w[0] * w[1] / (w[0] + w[1])
+        b = 2.0 * ZETA / (w[0] + w[1])
     elif w.size and w[0] > 0.0:
-        a, b = 0.0, 2.0 * zeta / w[0]
+        a, b = 0.0, 2.0 * ZETA / w[0]
     else:
         raise ValueError("model has no elastic modes to calibrate damping")
     return a * model.mass() + b * model.stiffness()
@@ -140,21 +143,13 @@ class StabilityResult:
         return float(self.eigenvalues[0].real)
 
 
-def dynamic_stability(
-    model: BeamModel,
-    ops: AeroOperators,
-    n_keep: int = 10,
-    zeta: float = 0.005,
-    c_s: np.ndarray | None = None,
-) -> StabilityResult:
+def dynamic_stability(model: BeamModel, ops: AeroOperators, n_keep: int = 10) -> StabilityResult:
     """Leading eigenvalues of the aeroelastic state matrix."""
     free = model.free
     ix = np.ix_(free, free)
     mff = model.mass()[ix]
     kff = (model.stiffness() - ops.K_a)[ix]
-    if c_s is None:
-        c_s = rayleigh_damping(model, zeta)
-    cff = (c_s - ops.D_a)[ix]
+    cff = (rayleigh_damping(model) - ops.D_a)[ix]
     n = free.size
     cho = scipy.linalg.cho_factor(mff)
     a = np.zeros((2 * n, 2 * n))
@@ -276,7 +271,6 @@ def _stability_margin(
     model: BeamModel,
     lattice: Lattice,
     flow_of_v: Callable[[float], FlowConditions],
-    zeta: float,
 ) -> Callable[[float], float]:
     """Largest state-matrix eigenvalue real part as a function of speed.
 
@@ -293,7 +287,7 @@ def _stability_margin(
     cho = scipy.linalg.cho_factor(model.mass()[ix])
     unit = aero_operators(lattice, FlowConditions(V=1.0, rho=1.0), model.nodes)
     m_k = scipy.linalg.cho_solve(cho, model.stiffness()[ix])
-    m_c = scipy.linalg.cho_solve(cho, rayleigh_damping(model, zeta)[ix])
+    m_c = scipy.linalg.cho_solve(cho, rayleigh_damping(model)[ix])
     m_ka = scipy.linalg.cho_solve(cho, unit.K_a[ix])
     m_da = scipy.linalg.cho_solve(cho, unit.D_a[ix])
 
@@ -309,25 +303,12 @@ def _stability_margin(
     return margin
 
 
-def stability_sweep(
-    model: BeamModel,
-    lattice: Lattice,
-    flow_of_v: Callable[[float], FlowConditions],
-    v_grid: np.ndarray,
-    zeta: float = 0.005,
-) -> np.ndarray:
-    """Largest eigenvalue real part at each speed in v_grid."""
-    margin = _stability_margin(model, lattice, flow_of_v, zeta)
-    return np.array([margin(v) for v in v_grid], dtype=float)
-
-
 def critical_speed(
     model: BeamModel,
     lattice: Lattice,
     flow_of_v: Callable[[float], FlowConditions],
     v_low: float,
     v_high: float,
-    zeta: float = 0.005,
     tol: float = 1e-4,
     max_iter: int = 80,
 ) -> float:
@@ -339,7 +320,7 @@ def critical_speed(
     crosses zero more than once inside the bracket.  Raises RuntimeError
     when max_iter halvings do not reach the relative width tol.
     """
-    margin = _stability_margin(model, lattice, flow_of_v, zeta)
+    margin = _stability_margin(model, lattice, flow_of_v)
     lo, hi = float(v_low), float(v_high)
     m_lo, m_hi = margin(lo), margin(hi)
     if m_lo >= 0.0:

@@ -17,14 +17,14 @@ components against the full 6x6 section inertia.  Geometric stiffness is the
 standard cubic-beam consistent matrix driven by the element axial force;
 torsional and shear contributions to preload stiffening are neglected.
 
-Local element axes: x along the member, z as close to the element up vector
-as orthogonality allows, y = z cross x.  Degrees of freedom per node are
-[ux, uy, uz, rx, ry, rz] in global axes.
+Local element axes: x along the member, z as close to global z as
+orthogonality allows (global x for vertical members), y = z cross x.
+Degrees of freedom per node are [ux, uy, uz, rx, ry, rz] in global axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,15 +34,17 @@ from .section import SectionProperties
 # force -> moment lever about the element axis unit vector
 _J_LEVER = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
+_UP = np.array([0.0, 0.0, 1.0])
 
-def element_frame(p1: np.ndarray, p2: np.ndarray, up=(0.0, 0.0, 1.0)) -> np.ndarray:
+
+def element_frame(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Rotation with columns (x, y, z) of the local element frame in global axes."""
     ex = np.asarray(p2, dtype=float) - np.asarray(p1, dtype=float)
     length = np.linalg.norm(ex)
     if length <= 0.0:
         raise ValueError("element has zero length")
     ex = ex / length
-    up = np.asarray(up, dtype=float)
+    up = _UP
     ez = up - (up @ ex) * ex
     nz = np.linalg.norm(ez)
     if nz < 1e-8:
@@ -113,11 +115,10 @@ def element_geometric_local(axial_force: float, length: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ElementDef:
-    """One beam element: node pair, section, and an up vector for the frame."""
+    """One beam element: node pair and section."""
 
     nodes: tuple[int, int]
     section: SectionProperties
-    up: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,7 @@ class BucklingResult:
 
 @dataclass
 class _ElementData:
-    nodes: tuple[int, int]
     length: float
-    frame: np.ndarray  # 3x3, columns are local axes
     k_local: np.ndarray
     k22: np.ndarray
     m_local: np.ndarray
@@ -176,7 +175,7 @@ class BeamModel:
         self.elements: list[_ElementData] = []
         for ed in elements:
             i, j = ed.nodes
-            frame = element_frame(self.nodes[i], self.nodes[j], ed.up)
+            frame = element_frame(self.nodes[i], self.nodes[j])
             length = float(np.linalg.norm(self.nodes[j] - self.nodes[i]))
             k_loc, k22 = element_stiffness_local(ed.section.C, length)
             m_loc = element_mass_local(ed.section.M, length)
@@ -185,7 +184,7 @@ class BeamModel:
                 q[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = frame.T
             dofs = np.concatenate([6 * i + np.arange(6), 6 * j + np.arange(6)])
             self.elements.append(
-                _ElementData(ed.nodes, length, frame, k_loc, k22, m_loc, q, dofs, ed.section)
+                _ElementData(length, k_loc, k22, m_loc, q, dofs, ed.section)
             )
         self._K: np.ndarray | None = None
         self._M: np.ndarray | None = None
@@ -229,13 +228,17 @@ class BeamModel:
 
     # -- element state ----------------------------------------------------
 
-    def _element_end_forces(self, e: _ElementData, u: np.ndarray) -> np.ndarray:
-        """Local end-2 load vector of one element."""
+    @staticmethod
+    def _element_deformation(e: _ElementData, u: np.ndarray) -> np.ndarray:
+        """Local end-2 displacement relative to the rigid motion of end 1."""
         u_loc = e.transform @ u[e.dofs]
         r = np.eye(6)
         r[:3, 3:] = -e.length * _J_LEVER
-        d = u_loc[6:] - r @ u_loc[:6]
-        return e.k22 @ d
+        return u_loc[6:] - r @ u_loc[:6]
+
+    def _element_end_forces(self, e: _ElementData, u: np.ndarray) -> np.ndarray:
+        """Local end-2 load vector of one element."""
+        return e.k22 @ self._element_deformation(e, u)
 
     def element_axial_forces(self, u: np.ndarray) -> np.ndarray:
         return np.array([self._element_end_forces(e, u)[0] for e in self.elements])
@@ -254,10 +257,7 @@ class BeamModel:
     def element_strain_energy(self, u: np.ndarray) -> np.ndarray:
         out = np.empty(len(self.elements))
         for k, e in enumerate(self.elements):
-            u_loc = e.transform @ u[e.dofs]
-            r = np.eye(6)
-            r[:3, 3:] = -e.length * _J_LEVER
-            d = u_loc[6:] - r @ u_loc[:6]
+            d = self._element_deformation(e, u)
             out[k] = 0.5 * d @ e.k22 @ d
         return out
 
@@ -309,12 +309,10 @@ class BeamModel:
             shapes[self.free, :] = vec
         return BucklingResult(factors=factors, shapes=shapes)
 
-    def gravity_load(self, g: float = 9.80665, direction=(0.0, 0.0, -1.0)) -> np.ndarray:
-        """Consistent self-weight nodal loads for a uniform acceleration field."""
+    def gravity_load(self, g: float = 9.80665) -> np.ndarray:
+        """Consistent self-weight nodal loads for gravity g along -z."""
         acc = np.zeros(self.n_dof)
-        d = np.asarray(direction, dtype=float)
-        for k in range(3):
-            acc[k::6] = g * d[k]
+        acc[2::6] = -g
         return self.mass() @ acc
 
 
@@ -323,7 +321,6 @@ def cantilever_model(
     length: float,
     n_elements: int,
     axis=(1.0, 0.0, 0.0),
-    up=(0.0, 0.0, 1.0),
     point_masses: list[PointMass] = (),
 ) -> BeamModel:
     """Straight cantilever along `axis`, clamped at the origin node."""
@@ -333,5 +330,5 @@ def cantilever_model(
     direction = direction / np.linalg.norm(direction)
     stations = np.linspace(0.0, length, n_elements + 1)
     nodes = stations[:, None] * direction[None, :]
-    elements = [ElementDef((i, i + 1), section, tuple(up)) for i in range(n_elements)]
+    elements = [ElementDef((i, i + 1), section) for i in range(n_elements)]
     return BeamModel(nodes, elements, fixed_dofs=np.arange(6), point_masses=point_masses)

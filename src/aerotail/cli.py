@@ -74,6 +74,11 @@ def _output_dir(args, cfg) -> str:
     return out
 
 
+def _case_name(cfg, i_lc: int) -> str:
+    """Name of load case i_lc in every output file; unnamed cases get case_<i>."""
+    return cfg.loadcases[i_lc].name or f"case_{i_lc}"
+
+
 def _analyze(args, cfg, out) -> None:
     lf, hf = cfg.analyses()
     analysis = lf if args.level == "LF" else hf
@@ -105,7 +110,7 @@ def _analyze(args, cfg, out) -> None:
         payload = {
             "case": "buckling",
             "level": args.level,
-            "load_case": cfg.loadcases[0].name,
+            "load_case": _case_name(cfg, 0),
             "factors": buck.factors,
             "note": "" if buck.factors.size else
             "no compressive prestress under this load case",
@@ -119,12 +124,13 @@ def _analyze(args, cfg, out) -> None:
     elif args.case == "flutter":
         rows = []
         eigs_per_case = {}
-        for i_lc, lc in enumerate(cfg.loadcases):
+        for i_lc in range(len(cfg.loadcases)):
             _, ops, _ = analysis.operators(i_lc)
             res = dynamic_stability(beam, ops, n_keep=args.modes)
-            eigs_per_case[lc.name or f"case_{len(eigs_per_case)}"] = res.eigenvalues
+            name = _case_name(cfg, i_lc)
+            eigs_per_case[name] = res.eigenvalues
             for i, z in enumerate(res.eigenvalues):
-                rows.append([i, lc.name, z.real, z.imag])
+                rows.append([i, name, z.real, z.imag])
         write_csv(
             os.path.join(out, f"{tag}.csv"),
             ["index", "load_case", "real", "imag"],
@@ -147,10 +153,10 @@ def _analyze(args, cfg, out) -> None:
     else:  # trim
         results = {}
         rows = []
-        for i_lc, lc in enumerate(cfg.loadcases):
+        for i_lc in range(len(cfg.loadcases)):
             res, _ = analysis.trim(model, i_lc)
             tip = beam.n_nodes - 1
-            name = lc.name or f"case_{len(results)}"
+            name = _case_name(cfg, i_lc)
             results[name] = {
                 "alpha_rad": res.alpha,
                 "total_lift": res.total_lift,

@@ -29,6 +29,13 @@ __all__ = [
     "compare_aeroelastic",
 ]
 
+# pass/fail thresholds of the comparison flags
+BENDING_THRESHOLD = 0.10  # relative tip-deflection error below which bending matches
+TORSION_THRESHOLD = 0.15  # relative tip-twist error above which torsion is knocked down
+MODAL_MAC_THRESHOLD = 0.95
+AEROELASTIC_MAC_THRESHOLD = 0.9
+N_CHECK = 5  # leading mode pairs whose diagonal MAC must pass
+
 
 def mac(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
     """Modal assurance criterion of two shape vectors, complex-safe.
@@ -94,8 +101,7 @@ class ComparisonReport:
 
     lf_values / hf_values / relative_errors are aligned by key; eigenvalue
     tables hold per-model arrays; mac is the (optionally complex-derived)
-    assurance matrix; flags record pass/fail against the thresholds the
-    comparison was run with.
+    assurance matrix; flags record pass/fail against the module thresholds.
     """
 
     case: int
@@ -117,12 +123,7 @@ def tip_response(model: WingModel, dof_offset: int) -> float:
     return float(u[6 * tip + dof_offset])
 
 
-def compare_static(
-    lf: WingModel,
-    hf: WingModel,
-    bending_threshold: float = 0.10,
-    torsion_threshold: float = 0.15,
-) -> ComparisonReport:
+def compare_static(lf: WingModel, hf: WingModel) -> ComparisonReport:
     """Unit tip force and unit tip torque, solved on both models.
 
     Reports the tip out-of-plane deflection and the tip twist with their
@@ -141,8 +142,8 @@ def compare_static(
         hf_values={"tip_deflection": w_hf, "tip_twist": ry_hf},
         relative_errors={"bending": e_bend, "torsion": e_tors},
         flags={
-            "bending_below_threshold": bool(e_bend < bending_threshold),
-            "torsion_above_threshold": bool(e_tors > torsion_threshold),
+            "bending_below_threshold": bool(e_bend < BENDING_THRESHOLD),
+            "torsion_above_threshold": bool(e_tors > TORSION_THRESHOLD),
         },
     )
 
@@ -159,13 +160,7 @@ def _swap_flag(m: np.ndarray) -> bool:
     return False
 
 
-def compare_modal(
-    lf: WingModel,
-    hf: WingModel,
-    n_modes: int = 8,
-    mac_threshold: float = 0.95,
-    n_check: int = 5,
-) -> ComparisonReport:
+def compare_modal(lf: WingModel, hf: WingModel, n_modes: int = 8) -> ComparisonReport:
     """Frequency table plus full MAC matrix on the shared node set."""
     res_lf = lf.beam.modal(n_modes)
     res_hf = hf.beam.modal(n_modes)
@@ -176,7 +171,7 @@ def compare_modal(
         f"omega_{i + 1}": relative_error(res_lf.omega[i], res_hf.omega[i])
         for i in range(k)
     }
-    d = np.diag(m)[: min(n_check, k)]
+    d = np.diag(m)[: min(N_CHECK, k)]
     return ComparisonReport(
         case=2,
         lf_values={f"omega_{i + 1}": float(res_lf.omega[i]) for i in range(k)},
@@ -185,7 +180,7 @@ def compare_modal(
         eigenvalue_tables={"lf_omega": res_lf.omega, "hf_omega": res_hf.omega},
         mac=m,
         flags={
-            "matched_modes": bool(np.all(d > mac_threshold)),
+            "matched_modes": bool(np.all(d > MODAL_MAC_THRESHOLD)),
             "mode_swap": _swap_flag(m),
         },
     )
@@ -200,8 +195,6 @@ def _zero_operators(model: WingModel) -> AeroOperators:
         f_alpha=np.zeros(n),
         t_load=np.zeros((n, 0)),
         t_wash=np.zeros((0, n)),
-        t_vel=np.zeros((0, n)),
-        aic=np.zeros((0, 0)),
     )
 
 
@@ -210,8 +203,6 @@ def compare_aeroelastic(
     hf: WingModel,
     flow: FlowConditions | None,
     n_keep: int = 10,
-    mac_threshold: float = 0.9,
-    n_check: int = 5,
 ) -> ComparisonReport:
     """Stability eigenvalues and complex MAC at one flow point.
 
@@ -235,7 +226,7 @@ def compare_aeroelastic(
         )
         for i in range(k)
     }
-    d = np.diag(m)[: min(n_check, k)]
+    d = np.diag(m)[: min(N_CHECK, k)]
     return ComparisonReport(
         case=3,
         lf_values={"max_real": float(res_lf.max_real)},
@@ -247,7 +238,7 @@ def compare_aeroelastic(
         },
         mac=m,
         flags={
-            "matched_modes": bool(np.all(d > mac_threshold)),
+            "matched_modes": bool(np.all(d > AEROELASTIC_MAC_THRESHOLD)),
             "mode_swap": _swap_flag(m),
         },
     )

@@ -66,6 +66,7 @@ N_STABILITY = 10  # leading eigenvalue real parts per load case
 N_FEASIBILITY = 6  # residuals per panel, design only
 
 VARS_PER_PANEL = 9
+T_BOUNDS = (6.25e-4, 0.05)  # panel thickness box, m
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,6 @@ class WingAnalysis:
         loadcases,
         fidelity: FidelityConfig | None = None,
         level: str = "LF",
-        t_bounds: tuple[float, float] = (6.25e-4, 0.05),
     ):
         if level not in ("LF", "HF"):
             raise ValueError("level must be 'LF' or 'HF'")
@@ -246,7 +246,6 @@ class WingAnalysis:
             raise ValueError("need at least one load case")
         self.fidelity = fidelity or FidelityConfig()
         self.level = level
-        self.t_bounds = t_bounds
         self.layout = ConstraintLayout.build(definition, len(self.loadcases))
         self._aero: list | None = None
         if self._have("ae") and definition.aileron is None:
@@ -266,10 +265,10 @@ class WingAnalysis:
         return self.layout.size
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Box bounds: lamination parameters in [-1, 1], thickness in t_bounds."""
+        """Box bounds: lamination parameters in [-1, 1], thickness in T_BOUNDS."""
         n = self.definition.n_panels
-        lb = np.tile(np.r_[-np.ones(8), self.t_bounds[0]], n)
-        ub = np.tile(np.r_[np.ones(8), self.t_bounds[1]], n)
+        lb = np.tile(np.r_[-np.ones(8), T_BOUNDS[0]], n)
+        ub = np.tile(np.r_[np.ones(8), T_BOUNDS[1]], n)
         return lb, ub
 
     def build_model(self, x) -> WingModel:

@@ -139,12 +139,16 @@ class WingModel:
     """One built fidelity instance of the wing for a specific design."""
 
     beam: BeamModel
-    lattice: Lattice
     definition: WingDefinition
     fidelity: FidelityConfig
     bay_sections: tuple[SectionProperties, ...]
     element_bay: np.ndarray  # bay index of every beam element
     bay_axis_length: np.ndarray  # elastic-axis length of every bay
+
+    @property
+    def lattice(self) -> Lattice:
+        """The fidelity level's vortex lattice; it does not depend on the design."""
+        return wing_lattice(self.definition, self.fidelity)
 
     def structural_mass(self) -> float:
         return float(
@@ -197,7 +201,7 @@ def wing_lattice(defn: WingDefinition, fid: FidelityConfig) -> Lattice:
 def build_wing_model(
     defn: WingDefinition, panels: list[PanelDesign], fid: FidelityConfig
 ) -> WingModel:
-    """Assemble beam and lattice for one design at one fidelity level."""
+    """Assemble the beam for one design at one fidelity level."""
     if len(panels) != defn.n_panels:
         raise ValueError(f"expected {defn.n_panels} panel designs, got {len(panels)}")
     span = defn.planform.semi_span
@@ -237,11 +241,9 @@ def build_wing_model(
         for frac, m in fid.extra_masses
     ]
     beam = BeamModel(nodes, elements, fixed_dofs=np.arange(6), point_masses=masses)
-    lattice = wing_lattice(defn, fid)
     edge_pts = np.column_stack([defn.elastic_axis_x(bay_edges), bay_edges])
     return WingModel(
         beam=beam,
-        lattice=lattice,
         definition=defn,
         fidelity=fid,
         bay_sections=tuple(sections),

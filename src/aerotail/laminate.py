@@ -144,7 +144,7 @@ def _trig_moments(angles: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(a2), np.cos(2 * a2), np.sin(a2), np.sin(2 * a2)])
 
 
-def lp_from_stack(angles, material: MaterialProperties | None = None) -> LaminationParameters:
+def lp_from_stack(angles) -> LaminationParameters:
     """Lamination parameters of a symmetric laminate from its half-stack.
 
     Parameters
@@ -153,9 +153,6 @@ def lp_from_stack(angles, material: MaterialProperties | None = None) -> Laminat
         Ply angles in radians of the half-stack, listed from the laminate
         mid-plane outward. The full laminate mirrors this list, so every
         angle appears twice at mirrored z positions.
-    material : MaterialProperties, optional
-        Unused for the parameters themselves (they are purely geometric);
-        accepted so stack-generation helpers can pass one object around.
 
     Returns
     -------
@@ -312,12 +309,12 @@ def select_critical(values, k: int) -> np.ndarray:
     return order[: min(k, values.size)]
 
 
-def pad_critical(values, k: int, sentinel: float = CRITICAL_PAD_SENTINEL) -> np.ndarray:
-    """The k most critical values, padded with `sentinel` to length k."""
+def pad_critical(values, k: int) -> np.ndarray:
+    """The k most critical values, padded with CRITICAL_PAD_SENTINEL to length k."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        return np.full(k, sentinel)
+        return np.full(k, CRITICAL_PAD_SENTINEL)
     idx = select_critical(values, k)
-    out = np.full(k, sentinel)
+    out = np.full(k, CRITICAL_PAD_SENTINEL)
     out[: idx.size] = values[idx]
     return out

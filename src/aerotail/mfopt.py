@@ -45,6 +45,10 @@ CONSISTENCY_TOL_GRAD = 1.0e-10
 # active, so the feasible set is unchanged
 SUBPROBLEM_CLIP = -1.0e3
 
+# a failed evaluation inside the subproblem: huge objective, every row violated
+POISON_F = 1.0e12
+POISON_C = 1.0e6
+
 
 def partition_rows(lf_mask: np.ndarray, hf_mask: np.ndarray):
     """Row index sets: corrected (both), LF passthrough, HF acceptance-only."""
@@ -140,6 +144,23 @@ def verify_consistency(
     return float(e_val), float(e_grad)
 
 
+def _checked_correction(
+    x_center: np.ndarray,
+    lf_out: ModelOutputs,
+    hf_out: ModelOutputs,
+    lf_grad: GradientResult,
+    hf_grad: GradientResult,
+) -> CorrectionData:
+    """build_correction, raising unless it is first-order consistent at the center."""
+    corr = build_correction(x_center, lf_out, hf_out, lf_grad, hf_grad)
+    e_val, e_grad = verify_consistency(corr, lf_out, hf_out, lf_grad, hf_grad)
+    if e_val > CONSISTENCY_TOL_VALUE or e_grad > CONSISTENCY_TOL_GRAD:
+        raise RuntimeError(
+            f"correction breaks first-order consistency: {e_val:.2e}, {e_grad:.2e}"
+        )
+    return corr
+
+
 class _Counting:
     """Per-model call counter; identical model objects share one counter."""
 
@@ -157,6 +178,32 @@ class _Counting:
         return self.model.gradients(x)
 
 
+def _attempt(call, x):
+    """call(x), or None when the physics fails at x."""
+    try:
+        return call(x)
+    except (ValueError, RuntimeError):
+        return None
+
+
+def _poisoned_outputs(t: ModelOutputs) -> ModelOutputs:
+    return ModelOutputs(
+        f=POISON_F,
+        c=np.full_like(t.c, POISON_C),
+        mask=t.mask,
+        nonsmooth=np.zeros_like(t.nonsmooth),
+        details={"failed": True},
+    )
+
+
+def _poisoned_gradients(t: GradientResult) -> GradientResult:
+    return GradientResult(
+        grad_f=np.zeros_like(t.grad_f),
+        grad_c=np.zeros_like(t.grad_c),
+        nonsmooth=np.zeros_like(t.nonsmooth),
+    )
+
+
 class _Cached:
     """Small memo so the subproblem's fun/jac callbacks share evaluations.
 
@@ -168,62 +215,35 @@ class _Cached:
     of crashing the solver.
     """
 
-    POISON_F = 1.0e12
-    POISON_C = 1.0e6
+    CAP = 16  # memo entries kept per kind, oldest dropped first
 
-    def __init__(self, counting: _Counting, cap: int = 16):
+    def __init__(self, counting: _Counting):
         self.inner = counting
-        self.cap = cap
-        self._evals: dict = {}
-        self._grads: dict = {}
-        self._eval_template: ModelOutputs | None = None
-        self._grad_template: GradientResult | None = None
+        self._memo: dict[str, dict] = {"evaluate": {}, "gradients": {}}
+        self._last: dict = {}  # kind -> last successful result, the poison template
 
-    def _get(self, store, x, compute):
+    def _get(self, kind: str, x, poison):
+        store = self._memo[kind]
         key = np.asarray(x, dtype=float).tobytes()
         if key not in store:
-            if len(store) >= self.cap:
+            if len(store) >= self.CAP:
                 store.pop(next(iter(store)))
-            store[key] = compute(x)
+            try:
+                out = getattr(self.inner, kind)(x)
+            except (ValueError, RuntimeError):
+                if kind not in self._last:
+                    raise
+                out = poison(self._last[kind])
+            else:
+                self._last[kind] = out
+            store[key] = out
         return store[key]
 
-    def _eval(self, x) -> ModelOutputs:
-        try:
-            out = self.inner.evaluate(x)
-        except (ValueError, RuntimeError):
-            if self._eval_template is None:
-                raise
-            t = self._eval_template
-            return ModelOutputs(
-                f=self.POISON_F,
-                c=np.full_like(t.c, self.POISON_C),
-                mask=t.mask,
-                nonsmooth=np.zeros_like(t.nonsmooth),
-                details={"failed": True},
-            )
-        self._eval_template = out
-        return out
-
-    def _grad(self, x) -> GradientResult:
-        try:
-            out = self.inner.gradients(x)
-        except (ValueError, RuntimeError):
-            if self._grad_template is None:
-                raise
-            t = self._grad_template
-            return GradientResult(
-                grad_f=np.zeros_like(t.grad_f),
-                grad_c=np.zeros_like(t.grad_c),
-                nonsmooth=np.zeros_like(t.nonsmooth),
-            )
-        self._grad_template = out
-        return out
-
     def evaluate(self, x) -> ModelOutputs:
-        return self._get(self._evals, x, self._eval)
+        return self._get("evaluate", x, _poisoned_outputs)
 
     def gradients(self, x) -> GradientResult:
-        return self._get(self._grads, x, self._grad)
+        return self._get("gradients", x, _poisoned_gradients)
 
 
 @dataclass
@@ -427,13 +447,7 @@ def trmm_optimize(
     delta = delta0
     restorations = 0
     hf_grad = hf_count.gradients(xc)
-    lf_grad = lf_cached.gradients(xc)
-    corr = build_correction(xc, lf_out, hf_out, lf_grad, hf_grad)
-    e_val, e_grad = verify_consistency(corr, lf_out, hf_out, lf_grad, hf_grad)
-    if e_val > CONSISTENCY_TOL_VALUE or e_grad > CONSISTENCY_TOL_GRAD:
-        raise RuntimeError(
-            f"correction breaks first-order consistency: {e_val:.2e}, {e_grad:.2e}"
-        )
+    corr = _checked_correction(xc, lf_out, hf_out, lf_cached.gradients(xc), hf_grad)
     m_center, v_center = m0, v0
     hf_center, lf_center = hf_out, lf_out
 
@@ -455,10 +469,11 @@ def trmm_optimize(
             term = "step_tol"
             break
 
-        # model merit at the candidate (corrected LF)
         lf_cand = lf_cached.evaluate(cand)
-        if lf_cand.details.get("failed"):
-            delta = max(SHRINK * delta, 0.0)
+        hf_cand = None if lf_cand.details.get("failed") else _attempt(hf_count.evaluate, cand)
+        if hf_cand is None:
+            # the physics failed at the candidate on either level: reject it
+            delta = SHRINK * delta
             trace.append(TraceEntry(x=cand, f_hf=np.nan, violation=np.nan,
                                     delta=delta, rho=-np.inf, accepted=False,
                                     restoration=restored))
@@ -466,24 +481,14 @@ def trmm_optimize(
                 term = "delta_min"
                 break
             continue
+
+        # model merit at the candidate (corrected LF)
         fm = corr.corrected_f(lf_cand.f, cand)
         cm = corr.corrected_c(lf_cand.c, cand)
         m_model_cand = fm + merit_weight * max(
             _violation(_clip(cm), both), _violation(_clip(lf_cand.c), lf_only)
         )
         predicted = m_center - m_model_cand
-
-        try:
-            hf_cand = hf_count.evaluate(cand)
-        except (ValueError, RuntimeError):
-            delta = max(SHRINK * delta, 0.0)
-            trace.append(TraceEntry(x=cand, f_hf=np.nan, violation=np.nan,
-                                    delta=delta, rho=-np.inf, accepted=False,
-                                    restoration=restored))
-            if delta < delta_min:
-                term = "delta_min"
-                break
-            continue
         nonsmooth += int(np.any(hf_cand.nonsmooth))
         m_cand, v_cand = merit(hf_cand.f, hf_cand.c, lf_cand.c)
         actual = m_center - m_cand
@@ -493,12 +498,11 @@ def trmm_optimize(
         grad_failed = False
         if accept:
             # the new center must be linearizable before the move commits
-            try:
-                hf_grad = hf_count.gradients(cand)
-            except (ValueError, RuntimeError):
-                accept = False
-                grad_failed = True
+            hf_grad_cand = _attempt(hf_count.gradients, cand)
+            grad_failed = hf_grad_cand is None
+            accept = not grad_failed
         if accept:
+            hf_grad = hf_grad_cand
             xc = cand
             hf_center, lf_center = hf_cand, lf_cand
             m_center, v_center = m_cand, v_cand
@@ -511,15 +515,9 @@ def trmm_optimize(
                                 delta=delta, rho=float(rho), accepted=accept,
                                 restoration=restored))
         if accept:
-            lf_grad = lf_cached.gradients(xc)
-            corr = build_correction(xc, lf_center, hf_center, lf_grad, hf_grad)
-            e_val, e_grad = verify_consistency(
-                corr, lf_center, hf_center, lf_grad, hf_grad
+            corr = _checked_correction(
+                xc, lf_center, hf_center, lf_cached.gradients(xc), hf_grad
             )
-            if e_val > CONSISTENCY_TOL_VALUE or e_grad > CONSISTENCY_TOL_GRAD:
-                raise RuntimeError(
-                    f"correction breaks first-order consistency: {e_val:.2e}, {e_grad:.2e}"
-                )
         if delta < delta_min:
             term = "delta_min"
             break

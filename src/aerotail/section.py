@@ -62,7 +62,6 @@ class WallSegment:
     design: PanelDesign
     material: MaterialProperties
     panel_index: int = -1
-    name: str = ""
 
     @property
     def length(self) -> float:
@@ -83,12 +82,9 @@ class RecoveryStation:
     """
 
     panel_index: int
-    position: np.ndarray
     strain_map: np.ndarray
     membrane: np.ndarray
     thickness: float
-    material: MaterialProperties
-    name: str = ""
 
     def wall_stresses(self, section_strains: np.ndarray) -> np.ndarray:
         """Smeared wall stresses (sigma_xx, sigma_ss, tau_xs) in Pa.
@@ -112,7 +108,6 @@ class SectionProperties:
     C: np.ndarray
     M: np.ndarray
     mu: float
-    reference: np.ndarray
     enclosed_area: float
     recovery: tuple[RecoveryStation, ...]
     panel_arc_length: dict[int, float] = field(default_factory=dict)
@@ -139,7 +134,6 @@ class CrossSection:
         cy = sum(0.5 * (s.p1[0] + s.p2[0]) * s.length for s in segments) / total
         cz = sum(0.5 * (s.p1[1] + s.p2[1]) * s.length for s in segments) / total
         self.reference = np.array([cy, cz])
-        self.perimeter = total
 
     def _segment_frames(self):
         """Per segment: endpoints relative to reference, tangent, membrane."""
@@ -174,12 +168,9 @@ class CrossSection:
             recovery.append(
                 RecoveryStation(
                     panel_index=seg.panel_index,
-                    position=np.array([ym, zm]),
                     strain_map=_strain_map(ym, zm, tang, gt),
                     membrane=ah,
                     thickness=seg.design.thickness,
-                    material=seg.material,
-                    name=seg.name,
                 )
             )
             if seg.panel_index >= 0:
@@ -190,7 +181,6 @@ class CrossSection:
             C=c,
             M=m,
             mu=float(m[0, 0]),
-            reference=self.reference.copy(),
             enclosed_area=self.enclosed_area,
             recovery=tuple(recovery),
             panel_arc_length=arc,
@@ -228,30 +218,25 @@ def box_section(
     walls: dict[str, PanelDesign],
     material: MaterialProperties,
     panel_indices: dict[str, int] | None = None,
-    segments_per_wall: int = 1,
-    center: tuple[float, float] = (0.0, 0.0),
 ) -> CrossSection:
     """Rectangular single-cell box with walls `upper`, `lower`, `front`, `rear`.
 
-    y runs from the front spar (negative) to the rear spar (positive), z from
-    the lower to the upper skin.  Each wall may be split into several equal
-    segments to refine stress recovery; they all share the wall's laminate.
+    Centered on the section origin: y runs from the front spar (negative) to
+    the rear spar (positive), z from the lower to the upper skin.  Each wall
+    is one segment.
     """
     if width <= 0.0 or height <= 0.0:
         raise ValueError("box dimensions must be positive")
     missing = {"upper", "lower", "front", "rear"} - set(walls)
     if missing:
         raise ValueError(f"missing wall designs: {sorted(missing)}")
-    if segments_per_wall < 1:
-        raise ValueError("segments_per_wall must be at least 1")
     idx = panel_indices or {}
-    yc, zc = center
     w2, h2 = 0.5 * width, 0.5 * height
     corners = {
-        "fl": (yc - w2, zc - h2),
-        "rl": (yc + w2, zc - h2),
-        "ru": (yc + w2, zc + h2),
-        "fu": (yc - w2, zc + h2),
+        "fl": (-w2, -h2),
+        "rl": (w2, -h2),
+        "ru": (w2, h2),
+        "fu": (-w2, h2),
     }
     # counter-clockwise: lower skin, rear spar, upper skin, front spar
     loop = [
@@ -260,21 +245,12 @@ def box_section(
         ("upper", corners["ru"], corners["fu"]),
         ("front", corners["fu"], corners["fl"]),
     ]
-    segments = []
-    for name, p1, p2 in loop:
-        pts = np.linspace(p1, p2, segments_per_wall + 1)
-        for k in range(segments_per_wall):
-            segments.append(
-                WallSegment(
-                    p1=tuple(pts[k]),
-                    p2=tuple(pts[k + 1]),
-                    design=walls[name],
-                    material=material,
-                    panel_index=idx.get(name, -1),
-                    name=name,
-                )
-            )
-    return CrossSection(segments)
+    return CrossSection(
+        [
+            WallSegment(p1, p2, walls[name], material, panel_index=idx.get(name, -1))
+            for name, p1, p2 in loop
+        ]
+    )
 
 
 def prescribed_section(
@@ -298,7 +274,6 @@ def prescribed_section(
         C=c,
         M=m,
         mu=mu,
-        reference=np.zeros(2),
         enclosed_area=0.0,
         recovery=(),
         panel_arc_length={},

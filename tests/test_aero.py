@@ -150,6 +150,10 @@ class TestValidation:
         p = Planform(10.0, 2.0, 1.0)
         assert p.area == pytest.approx(15.0)
         assert p.chord(5.0) == pytest.approx(1.5)
+        lat = build_lattice(p, nx=2, ny=3)
+        assert (lat.nx, lat.ny, lat.n_panels) == (2, 3, 6)
+        assert lat.area == pytest.approx(15.0)
+        assert aic_matrix(lat).shape == (6, 6)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -160,10 +164,3 @@ class TestValidation:
             FlowConditions(V=10.0, rho=1.2, mach=1.0)
         with pytest.raises(ValueError):
             build_lattice(Planform(5, 1, 1), nx=0, ny=4)
-
-    def test_lattice_dump_roundtrip(self):
-        lat = build_lattice(Planform(5.0, 1.0, 0.5), nx=2, ny=3)
-        d = lat.as_dict()
-        assert d["nx"] == 2 and d["ny"] == 3
-        assert len(d["control_points"]) == lat.n_panels
-        assert aic_matrix(lat).shape == (6, 6)

@@ -77,7 +77,7 @@ class TestStatics:
         c = c * np.outer([1e7, 1e6, 1e6, 1e5, 1e5, 1e5], [1e7, 1e6, 1e6, 1e5, 1e5, 1e5]) ** 0.5
         sec = prescribed_section(1, 1, 1, 1, 1, 1)
         sec = type(sec)(
-            C=c, M=np.eye(6), mu=1.0, reference=np.zeros(2),
+            C=c, M=np.eye(6), mu=1.0,
             enclosed_area=0.0, recovery=(), panel_arc_length={},
         )
         p2 = rng.normal(size=6) * np.array([1e3, 1e3, 1e3, 1e2, 1e2, 1e2])

@@ -98,6 +98,28 @@ class TestAnalyze:
         doc = json.loads(open(os.path.join(out, "flutter_LF.json")).read())
         assert doc["max_real"] < 0.0
 
+    def test_unnamed_load_cases_get_one_name_everywhere(self, tmp_path):
+        with open(TOY, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        first = {k: v for k, v in doc["loadcases"][0].items() if k != "name"}
+        doc["loadcases"] = [first, dict(first, V=70.0)]
+        cfg = tmp_path / "unnamed.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "o")
+        for case in ("flutter", "buckling", "trim"):
+            assert run("analyze", "--case", case, "--config", str(cfg),
+                       "--out", out) == EXIT_OK
+        names = ["case_0", "case_1"]
+        for case in ("flutter", "trim"):
+            rows = open(os.path.join(out, f"{case}_LF.csv")).read().splitlines()[1:]
+            assert sorted({r.split(",")[1] for r in rows}) == names, case
+        flutter = json.loads(open(os.path.join(out, "flutter_LF.json")).read())
+        assert sorted(flutter["eigenvalues"]) == names
+        trim = json.loads(open(os.path.join(out, "trim_LF.json")).read())
+        assert sorted(trim["results"]) == names
+        buckling = json.loads(open(os.path.join(out, "buckling_LF.json")).read())
+        assert buckling["load_case"] == "case_0"
+
     def test_analysis_failure_exits_3(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = run("analyze", "--case", "modal", "--config", TOY,
