@@ -9,9 +9,14 @@ first-order state matrix
     d/dt [u, v] = [[0, I], [-M^-1 (K - K_a), -M^-1 (C_s - D_a)]] [u, v]
 
 on the free dofs, with light Rayleigh damping calibrated on the first two
-structural modes.  Aileron effectiveness solves the antisymmetric-image
-problem, since a rolling control input loads the two half wings with
-opposite sign.
+structural modes.  Models with more than N_MODES free dofs solve it in
+modal coordinates: the lowest N_MODES mass-normalised structural modes
+span u, which turns the 2n-order state matrix into a 2 N_MODES one (the
+modal-coordinate flutter model of Hodges & Pierce, Introduction to
+Structural Dynamics and Aeroelasticity, 2011).  Smaller models are solved
+on their free dofs as they are.  Aileron effectiveness solves the
+antisymmetric-image problem, since a rolling control input loads the two
+half wings with opposite sign.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ _REAL_EIG_TOL = 1e-8
 _DEGENERATE_TOL = 1e-6
 
 ZETA = 0.005  # structural damping ratio at the two lowest modes
+N_MODES = 40  # structural modes spanning the stability problem of larger models
+N_STABILITY = 10  # leading state-matrix eigenvalues kept per stability solve
 _TRIM_TOL = 1e-10  # relative residual of the static equilibrium and the lift target
 _TRIM_MAX_ITER = 30
 
@@ -133,38 +140,89 @@ def rayleigh_damping(model: BeamModel) -> np.ndarray:
 
 
 @dataclass
+class StabilityBasis:
+    """Structural coordinates of the stability problem on the free dofs of model.
+
+    phi None is the identity basis, the free dofs themselves, with M^-1
+    applied through the mass Cholesky factor cho.  Otherwise phi holds
+    mass-normalised structural modes as columns, so the projected mass is
+    the identity and a matrix A projects to phi' A phi.
+    """
+
+    model: BeamModel
+    phi: np.ndarray | None  # (n_free, size)
+    cho: tuple | None
+
+    @property
+    def size(self) -> int:
+        """Number of coordinates; n_free for the identity basis."""
+        return self.model.free.size if self.phi is None else self.phi.shape[1]
+
+    @property
+    def omega_max(self) -> float:
+        """Highest structural frequency the basis spans, rad/s.
+
+        Computed on request: the identity basis solves without any modes.
+        """
+        return float(self.model.modal(self.size).omega[-1])
+
+    def project(self, a_ff: np.ndarray) -> np.ndarray:
+        """M^-1 A in basis coordinates, for A on the free dofs."""
+        if self.phi is None:
+            return scipy.linalg.cho_solve(self.cho, a_ff)
+        return self.phi.T @ a_ff @ self.phi
+
+    def expand(self, q: np.ndarray) -> np.ndarray:
+        """Free-dof displacements of basis coordinates q."""
+        return q if self.phi is None else self.phi @ q
+
+
+def _stability_basis(model: BeamModel) -> StabilityBasis:
+    """Identity basis up to N_MODES free dofs, the lowest N_MODES modes beyond.
+
+    The modes come from model.modal, which the model caches, so neither
+    another load case nor another speed recomputes them.
+    """
+    free = model.free
+    if free.size <= N_MODES:
+        cho = scipy.linalg.cho_factor(model.mass()[np.ix_(free, free)])
+        return StabilityBasis(model, None, cho)
+    return StabilityBasis(model, model.modal(N_MODES).shapes[free], None)
+
+
+@dataclass
 class StabilityResult:
     eigenvalues: np.ndarray  # complex, sorted by descending real part
     shapes: np.ndarray  # displacement partitions, (n_dof, k), complex
     degenerate: bool  # nearly repeated leading eigenvalues present
+    basis: StabilityBasis  # its size and omega_max state the modal truncation
 
     @property
     def max_real(self) -> float:
         return float(self.eigenvalues[0].real)
 
 
-def dynamic_stability(model: BeamModel, ops: AeroOperators, n_keep: int = 10) -> StabilityResult:
-    """Leading eigenvalues of the aeroelastic state matrix."""
+def dynamic_stability(
+    model: BeamModel, ops: AeroOperators, n_keep: int = N_STABILITY
+) -> StabilityResult:
+    """Leading eigenvalues of the aeroelastic state matrix, in _stability_basis."""
     free = model.free
     ix = np.ix_(free, free)
-    mff = model.mass()[ix]
-    kff = (model.stiffness() - ops.K_a)[ix]
-    cff = (rayleigh_damping(model) - ops.D_a)[ix]
-    n = free.size
-    cho = scipy.linalg.cho_factor(mff)
+    basis = _stability_basis(model)
+    n = basis.size
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = np.eye(n)
-    a[n:, :n] = -scipy.linalg.cho_solve(cho, kff)
-    a[n:, n:] = -scipy.linalg.cho_solve(cho, cff)
+    a[n:, :n] = -basis.project((model.stiffness() - ops.K_a)[ix])
+    a[n:, n:] = -basis.project((rayleigh_damping(model) - ops.D_a)[ix])
     lam, vec = scipy.linalg.eig(a)
     order = np.lexsort((-lam.imag, -lam.real))
     keep = order[: min(n_keep, lam.size)]
     shapes = np.zeros((model.n_dof, keep.size), dtype=complex)
-    shapes[free, :] = vec[:n, keep]
+    shapes[free, :] = basis.expand(vec[:n, keep])
     kept = lam[keep]
     gaps = np.abs(np.diff(kept))
     degenerate = bool(np.any(gaps < _DEGENERATE_TOL * np.maximum(np.abs(kept[:-1]), 1.0)))
-    return StabilityResult(eigenvalues=kept, shapes=shapes, degenerate=degenerate)
+    return StabilityResult(eigenvalues=kept, shapes=shapes, degenerate=degenerate, basis=basis)
 
 
 @dataclass
@@ -274,22 +332,22 @@ def _stability_margin(
 ) -> Callable[[float], float]:
     """Largest state-matrix eigenvalue real part as a function of speed.
 
-    Everything that does not depend on the speed is built once: the mass
-    Cholesky factor, M^-1 K and M^-1 C_s, and the unit-flow aero operators
-    projected through M^-1.  The AIC is beta times the incompressible one,
-    so at any flow K_a scales by rho V^2 / beta and D_a by rho V / beta,
+    Everything that does not depend on the speed is built once: the basis
+    of dynamic_stability, and M^-1 K, M^-1 C_s and the unit-flow aero
+    operators projected onto it.  The AIC is beta times the incompressible
+    one, so at any flow K_a scales by rho V^2 / beta and D_a by rho V / beta,
     and each speed costs two scaled block updates and an eigenvalue-only
     eig.  Matches dynamic_stability(...).max_real to roundoff.
     """
     free = model.free
     ix = np.ix_(free, free)
-    n = free.size
-    cho = scipy.linalg.cho_factor(model.mass()[ix])
+    basis = _stability_basis(model)
+    n = basis.size
     unit = aero_operators(lattice, FlowConditions(V=1.0, rho=1.0), model.nodes)
-    m_k = scipy.linalg.cho_solve(cho, model.stiffness()[ix])
-    m_c = scipy.linalg.cho_solve(cho, rayleigh_damping(model)[ix])
-    m_ka = scipy.linalg.cho_solve(cho, unit.K_a[ix])
-    m_da = scipy.linalg.cho_solve(cho, unit.D_a[ix])
+    m_k = basis.project(model.stiffness()[ix])
+    m_c = basis.project(rayleigh_damping(model)[ix])
+    m_ka = basis.project(unit.K_a[ix])
+    m_da = basis.project(unit.D_a[ix])
 
     def margin(v: float) -> float:
         flow = flow_of_v(v)

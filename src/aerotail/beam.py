@@ -188,6 +188,7 @@ class BeamModel:
             )
         self._K: np.ndarray | None = None
         self._M: np.ndarray | None = None
+        self._modes: dict[int, ModalResult] = {}
 
     # -- assembly ---------------------------------------------------------
 
@@ -278,16 +279,25 @@ class BeamModel:
         return u
 
     def modal(self, n_modes: int) -> ModalResult:
-        """Lowest vibration modes; shapes are mass-orthonormal."""
+        """Lowest vibration modes; shapes are mass-orthonormal.
+
+        Results are cached per mode count, like K and M, and returned
+        read-only because every caller shares them.
+        """
         if n_modes < 1:
             raise ValueError("n_modes must be positive")
-        kff = self._free(self.stiffness())
-        mff = self._free(self.mass())
         n = min(n_modes, self.free.size)
-        w2, vec = scipy.linalg.eigh(kff, mff, subset_by_index=[0, n - 1])
-        shapes = np.zeros((self.n_dof, n))
-        shapes[self.free, :] = vec
-        return ModalResult(omega=np.sqrt(np.clip(w2, 0.0, None)), shapes=shapes)
+        if n not in self._modes:
+            kff = self._free(self.stiffness())
+            mff = self._free(self.mass())
+            w2, vec = scipy.linalg.eigh(kff, mff, subset_by_index=[0, n - 1])
+            shapes = np.zeros((self.n_dof, n))
+            shapes[self.free, :] = vec
+            omega = np.sqrt(np.clip(w2, 0.0, None))
+            omega.flags.writeable = False
+            shapes.flags.writeable = False
+            self._modes[n] = ModalResult(omega=omega, shapes=shapes)
+        return self._modes[n]
 
     def buckling(self, loads: np.ndarray, n_modes: int = 8) -> BucklingResult:
         """Linearized buckling factors for the given reference load."""

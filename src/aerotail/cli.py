@@ -143,6 +143,9 @@ def _analyze(args, cfg, out) -> None:
                 "level": args.level,
                 "eigenvalues": eigs_per_case,
                 "max_real": max(float(v[0].real) for v in eigs_per_case.values()),
+                # every load case shares the beam, so one basis serves them all
+                "basis_size": res.basis.size,
+                "basis_omega_max_rad_s": res.basis.omega_max,
             },
         )
         first = next(iter(eigs_per_case.values()))

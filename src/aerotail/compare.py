@@ -202,9 +202,8 @@ def compare_aeroelastic(
     lf: WingModel,
     hf: WingModel,
     flow: FlowConditions | None,
-    n_keep: int = 10,
 ) -> ComparisonReport:
-    """Stability eigenvalues and complex MAC at one flow point.
+    """Leading stability eigenvalues (N_STABILITY) and complex MAC at one flow point.
 
     flow = None runs the still-air limit: the aerodynamic operators vanish
     and the comparison degenerates to the damped structural modes.
@@ -215,8 +214,8 @@ def compare_aeroelastic(
     else:
         ops_lf = aero_operators(lf.lattice, flow, lf.beam.nodes)
         ops_hf = aero_operators(hf.lattice, flow, hf.beam.nodes)
-    res_lf = dynamic_stability(lf.beam, ops_lf, n_keep=n_keep)
-    res_hf = dynamic_stability(hf.beam, ops_hf, n_keep=n_keep)
+    res_lf = dynamic_stability(lf.beam, ops_lf)
+    res_hf = dynamic_stability(hf.beam, ops_hf)
     i_lf, i_hf = shared_node_dofs(lf, hf)
     k = min(res_lf.eigenvalues.size, res_hf.eigenvalues.size)
     m = mac_matrix(res_lf.shapes[i_lf, :k], res_hf.shapes[i_hf, :k])

@@ -34,6 +34,7 @@ import numpy as np
 
 from .aero import FlowConditions, aero_operators
 from .aeroelastic import (
+    N_STABILITY,
     StaticAeroelasticResult,
     aileron_operators,
     aileron_solve,
@@ -62,7 +63,6 @@ FD_REL_STEP = 1.0e-6
 
 N_TSAI_WU = 8  # entries kept per panel per load case
 N_BUCKLING = 8  # entries kept per region per load case
-N_STABILITY = 10  # leading eigenvalue real parts per load case
 N_FEASIBILITY = 6  # residuals per panel, design only
 
 VARS_PER_PANEL = 9
@@ -377,7 +377,7 @@ class WingAnalysis:
                     nonsmooth[sl] = True
 
         if self._have("ds"):
-            stab = dynamic_stability(beam, ops, n_keep=N_STABILITY)
+            stab = dynamic_stability(beam, ops)
             sl = lay.rows(i_lc, "ds")
             c[sl] = pad_critical(np.real(stab.eigenvalues), N_STABILITY)
             if stab.degenerate:

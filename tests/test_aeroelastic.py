@@ -1,10 +1,16 @@
 """Coupled aeroelastic solution tests."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import aerotail
 from aerotail.aero import FlowConditions, Planform, aero_operators, build_lattice
 from aerotail.aeroelastic import (
+    N_MODES,
+    N_STABILITY,
     AileronDef,
     _stability_margin,
     aileron_effectiveness,
@@ -15,6 +21,10 @@ from aerotail.aeroelastic import (
     static_aeroelastic,
 )
 from aerotail.beam import BeamModel, ElementDef
+from aerotail.compare import mac
+from aerotail.config import load_config
+from aerotail.constraints import pack_design
+from aerotail.laminate import PanelDesign, lp_from_stack
 from aerotail.section import SectionProperties, _inertia_map, prescribed_section
 
 SPAN = 8.0
@@ -220,6 +230,110 @@ class TestStabilityMargin:
         flow_of_v = self.FLOWS["mach0"]
         with pytest.raises(RuntimeError, match="max_iter=3"):
             critical_speed(flutter_wing(), wing_lattice(), flow_of_v, 5.0, 120.0, max_iter=3)
+
+
+DATA = os.path.join(os.path.dirname(aerotail.__file__), "data")
+
+
+def shipped(name):
+    """A shipped config and its analyses keyed by level."""
+    cfg = load_config(os.path.join(DATA, name))
+    return cfg, dict(zip(("LF", "HF"), cfg.analyses()))
+
+
+def seeded_design(cfg, seed):
+    """Random 8-ply half stacks, shipped thicknesses scaled by 1 +- 15%."""
+    rng = np.random.default_rng(seed)
+    return pack_design([
+        PanelDesign(
+            lp_from_stack(np.deg2rad(rng.choice((0.0, 45.0, -45.0, 90.0), size=8))),
+            p.thickness * (1.0 + rng.uniform(-0.15, 0.15)),
+        )
+        for p in cfg.panels
+    ])
+
+
+def full_order_state_matrix(model, k_a, d_a):
+    """The unreduced state matrix on every free dof, with M^-1 by Cholesky."""
+    free = model.free
+    ix = np.ix_(free, free)
+    n = free.size
+    cho = scipy.linalg.cho_factor(model.mass()[ix])
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    a[n:, :n] = -scipy.linalg.cho_solve(cho, (model.stiffness() - k_a)[ix])
+    a[n:, n:] = -scipy.linalg.cho_solve(cho, (rayleigh_damping(model) - d_a)[ix])
+    return a
+
+
+def leading(lam):
+    """Indices of the N_STABILITY eigenvalues dynamic_stability keeps, in its order."""
+    return np.lexsort((-lam.imag, -lam.real))[:N_STABILITY]
+
+
+class TestModalReduction:
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_kept_eigenvalues_match_full_order(self, level):
+        cfg, analyses = shipped("wing_default.json")
+        analysis = analyses[level]
+        for x in (cfg.initial_design(), seeded_design(cfg, 1), seeded_design(cfg, 2)):
+            beam = analysis.build_model(x).beam
+            n = beam.free.size
+            assert n > N_MODES
+            for i_lc in range(len(analysis.loadcases)):
+                _, ops, _ = analysis.operators(i_lc)
+                res = dynamic_stability(beam, ops)
+                lam, vec = scipy.linalg.eig(full_order_state_matrix(beam, ops.K_a, ops.D_a))
+                keep = leading(lam)
+                ref = lam[keep]
+                assert abs(res.max_real - ref[0].real) <= 1e-4 * abs(ref[0].real)
+                assert np.abs(np.sort(res.eigenvalues.real) - np.sort(ref.real)).max() <= 5e-2
+                for j in range(N_STABILITY):
+                    assert mac(res.shapes[beam.free, j], vec[:n, keep[j]]) > 0.999
+                assert res.basis.size == N_MODES
+                assert res.basis.omega_max == beam.modal(N_MODES).omega[-1]
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_small_models_are_solved_at_full_order(self, level):
+        cfg, analyses = shipped("toy_two_panel.json")
+        analysis = analyses[level]
+        beam = analysis.build_model(cfg.initial_design()).beam
+        n = beam.free.size
+        assert n <= N_MODES
+        for i_lc in range(len(analysis.loadcases)):
+            _, ops, _ = analysis.operators(i_lc)
+            res = dynamic_stability(beam, ops)
+            lam, vec = scipy.linalg.eig(full_order_state_matrix(beam, ops.K_a, ops.D_a))
+            keep = leading(lam)
+            assert np.array_equal(res.eigenvalues, lam[keep])
+            assert np.array_equal(res.shapes[beam.free], vec[:n, keep])
+            assert res.basis.size == n
+            assert res.basis.omega_max == beam.modal(n).omega[-1]
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_critical_speed_matches_full_order_bisection(self, level):
+        cfg, analyses = shipped("wing_default.json")
+        model = analyses[level].build_model(seeded_design(cfg, 1))
+        beam, lattice = model.beam, model.lattice
+        cruise = cfg.loadcases[0]
+
+        def flow_of_v(v):
+            return FlowConditions(V=v, rho=cruise.rho, mach=cruise.mach)
+
+        def full_margin(v):
+            ops = aero_operators(lattice, flow_of_v(v), beam.nodes)
+            return scipy.linalg.eigvals(full_order_state_matrix(beam, ops.K_a, ops.D_a)).real.max()
+
+        vc = critical_speed(beam, lattice, flow_of_v, 150.0, 600.0)
+        lo, hi = 150.0, 600.0
+        assert full_margin(lo) < 0.0 <= full_margin(hi)
+        while hi - lo > 1e-3 * hi:
+            mid = 0.5 * (lo + hi)
+            if full_margin(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert vc == pytest.approx(0.5 * (lo + hi), rel=5e-3)
 
 
 class TestAileron:

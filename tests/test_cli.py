@@ -6,6 +6,7 @@ import os
 import pytest
 
 import aerotail
+from aerotail.aeroelastic import N_MODES
 from aerotail.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from aerotail.compare import compare_static
 from aerotail.config import load_config
@@ -97,6 +98,24 @@ class TestAnalyze:
         assert os.path.exists(os.path.join(out, "flutter_LF.svg"))
         doc = json.loads(open(os.path.join(out, "flutter_LF.json")).read())
         assert doc["max_real"] < 0.0
+        # the toy beam is small enough to keep every free dof
+        cfg = load_config(TOY)
+        beam = cfg.analyses()[0].build_model(cfg.initial_design()).beam
+        assert doc["basis_size"] == beam.free.size
+        assert doc["basis_omega_max_rad_s"] == pytest.approx(
+            beam.modal(beam.free.size).omega[-1], rel=1e-10)
+
+    def test_flutter_states_its_modal_truncation(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert run("analyze", "--case", "flutter", "--config", DEFAULT,
+                   "--out", out) == EXIT_OK
+        doc = json.loads(open(os.path.join(out, "flutter_LF.json")).read())
+        cfg = load_config(DEFAULT)
+        beam = cfg.analyses()[0].build_model(cfg.initial_design()).beam
+        assert beam.free.size > N_MODES
+        assert doc["basis_size"] == N_MODES
+        assert doc["basis_omega_max_rad_s"] == pytest.approx(
+            beam.modal(N_MODES).omega[-1], rel=1e-10)
 
     def test_unnamed_load_cases_get_one_name_everywhere(self, tmp_path):
         with open(TOY, encoding="utf-8") as fh:

@@ -247,7 +247,7 @@ class TestCompareAeroelastic:
 
     def test_still_air_frequencies_match_modal(self):
         m = build(mesh=2)
-        rep = compare_aeroelastic(m, m, flow=None, n_keep=6)
+        rep = compare_aeroelastic(m, m, flow=None)
         omega = m.beam.modal(6).omega
         freqs = np.sort(np.abs(rep.eigenvalue_tables["hf_eigenvalues"].imag))
         # conjugate pairs collapse onto the (lightly damped) modal frequencies
@@ -257,7 +257,7 @@ class TestCompareAeroelastic:
 
     def test_eigenvalue_tables_truncated_consistently(self):
         flow = FlowConditions(V=25.0, rho=1.225)
-        rep = compare_aeroelastic(build(mesh=1), build(mesh=2), flow, n_keep=6)
+        rep = compare_aeroelastic(build(mesh=1), build(mesh=2), flow)
         k = rep.eigenvalue_tables["lf_eigenvalues"].size
         assert rep.eigenvalue_tables["hf_eigenvalues"].size == k
         assert rep.mac.shape == (k, k)
