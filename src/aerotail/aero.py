@@ -256,8 +256,6 @@ class AeroOperators:
     K_a: np.ndarray
     D_a: np.ndarray
     f_alpha: np.ndarray
-    t_load: np.ndarray
-    t_wash: np.ndarray
 
 
 def aero_operators(lattice: Lattice, flow: FlowConditions, nodes: np.ndarray) -> AeroOperators:
@@ -271,4 +269,4 @@ def aero_operators(lattice: Lattice, flow: FlowConditions, nodes: np.ndarray) ->
     k_a = -flow.rho * flow.V**2 * load_scaled @ winv_wash
     d_a = flow.rho * flow.V * load_scaled @ winv_vel
     f_alpha = -flow.rho * flow.V**2 * load_scaled @ winv_one
-    return AeroOperators(K_a=k_a, D_a=d_a, f_alpha=f_alpha, t_load=t_load, t_wash=t_wash)
+    return AeroOperators(K_a=k_a, D_a=d_a, f_alpha=f_alpha)

@@ -20,6 +20,13 @@ torsional and shear contributions to preload stiffening are neglected.
 Local element axes: x along the member, z as close to global z as
 orthogonality allows (global x for vertical members), y = z cross x.
 Degrees of freedom per node are [ux, uy, uz, rx, ry, rz] in global axes.
+
+Element data are arrays over all elements.  `ElementGeometry` holds what
+the nodes fix (lengths, frames, 12x12 transforms, dofs and assembly
+indices), `ElementSet` adds the section matrices of one design, and every
+element matrix, assembly and element state is one batched expression over
+them.  `BeamModel` built from a list of `ElementDef` and
+`element_stiffness_local` run the same kernels.
 """
 
 from __future__ import annotations
@@ -33,8 +40,17 @@ from .section import SectionProperties
 
 # force -> moment lever about the element axis unit vector
 _J_LEVER = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+# end-load resultant gradient along the element: A(x) = I + (L - x) A1
+_A1 = np.zeros((6, 6))
+_A1[3:, :3] = _J_LEVER
 
 _UP = np.array([0.0, 0.0, 1.0])
+
+# geometric stiffness: plane (uy, rz), lateral slope pairs with +rz, and
+# plane (uz, ry), lateral slope pairs with -ry
+_MAP_Y = np.array([1, 5, 7, 11])
+_MAP_Z = np.array([2, 4, 8, 10])
+_SIGN = np.diag([1.0, -1.0, 1.0, -1.0])
 
 
 def element_frame(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -56,61 +72,125 @@ def element_frame(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     return np.column_stack([ex, ey, ez])
 
 
-def element_stiffness_local(C: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact 12x12 local stiffness and the condensed end stiffness K22."""
-    sc = np.linalg.inv(C)
-    a1 = np.zeros((6, 6))
-    a1[3:, :3] = _J_LEVER
+@dataclass(frozen=True)
+class ElementGeometry:
+    """Design-independent data of two-node elements on fixed nodes, per element.
+
+    rigid maps node-1 motion to node 2 in local axes, flex2 and flex3 are
+    L^2 / 2 and L^3 / 3, mid maps the end-2 load to the midpoint resultant,
+    geometric is the consistent geometric stiffness per unit N / L of one
+    bending plane, transform maps global to local dofs, and scatter holds
+    the flat index of every 12x12 entry in the assembled matrix, element by
+    element.
+    """
+
+    length: np.ndarray  # (n,)
+    rigid: np.ndarray  # (n, 6, 6)
+    flex2: np.ndarray  # (n,)
+    flex3: np.ndarray  # (n,)
+    mid: np.ndarray  # (n, 6, 6)
+    geometric: np.ndarray  # (n, 4, 4)
+    transform: np.ndarray  # (n, 12, 12)
+    dofs: np.ndarray  # (n, 12)
+    scatter: np.ndarray  # (n * 144,)
+
+    @classmethod
+    def build(cls, nodes: np.ndarray, pairs) -> "ElementGeometry":
+        nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
+        n_dof = 6 * nodes.shape[0]
+        lengths, rigid, mid, geometric, transform, dofs = [], [], [], [], [], []
+        for i, j in pairs:
+            frame = element_frame(nodes[i], nodes[j])
+            L = float(np.linalg.norm(nodes[j] - nodes[i]))
+            lengths.append(L)
+            r = np.eye(6)
+            r[:3, 3:] = -L * _J_LEVER
+            rigid.append(r)
+            a_mid = np.eye(6)
+            a_mid[3:, :3] = 0.5 * L * _J_LEVER
+            mid.append(a_mid)
+            geometric.append(
+                [
+                    [6.0 / 5.0, L / 10.0, -6.0 / 5.0, L / 10.0],
+                    [L / 10.0, 2.0 * L**2 / 15.0, -L / 10.0, -(L**2) / 30.0],
+                    [-6.0 / 5.0, -L / 10.0, 6.0 / 5.0, -L / 10.0],
+                    [L / 10.0, -(L**2) / 30.0, -L / 10.0, 2.0 * L**2 / 15.0],
+                ]
+            )
+            q = np.zeros((12, 12))
+            for b in range(4):
+                q[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = frame.T
+            transform.append(q)
+            dofs.append(np.concatenate([6 * i + np.arange(6), 6 * j + np.arange(6)]))
+        dofs = np.array(dofs, dtype=int).reshape(-1, 12)
+        # powers of L in Python floats, element by element: an array power
+        # may round L**3 differently from the scalar one
+        return cls(
+            length=np.array(lengths, dtype=float),
+            rigid=np.array(rigid).reshape(-1, 6, 6),
+            flex2=np.array([0.5 * L**2 for L in lengths], dtype=float),
+            flex3=np.array([L**3 / 3.0 for L in lengths], dtype=float),
+            mid=np.array(mid).reshape(-1, 6, 6),
+            geometric=np.array(geometric, dtype=float).reshape(-1, 4, 4),
+            transform=np.array(transform).reshape(-1, 12, 12),
+            dofs=dofs,
+            scatter=(dofs[:, :, None] * n_dof + dofs[:, None, :]).ravel(),
+        )
+
+
+def _element_stiffness(sc: np.ndarray, g: ElementGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 12x12 local stiffnesses and end stiffnesses K22 from Sc = C^-1."""
+    a1t_sc = _A1.T @ sc
     f22 = (
-        length * sc
-        + 0.5 * length**2 * (sc @ a1 + a1.T @ sc)
-        + (length**3 / 3.0) * (a1.T @ sc @ a1)
+        g.length[:, None, None] * sc
+        + g.flex2[:, None, None] * (sc @ _A1 + a1t_sc)
+        + g.flex3[:, None, None] * (a1t_sc @ _A1)
     )
     k22 = np.linalg.inv(f22)
-    k22 = 0.5 * (k22 + k22.T)
-    # rigid map node 1 -> node 2 displacements
-    r = np.eye(6)
-    r[:3, 3:] = -length * _J_LEVER
-    k = np.empty((12, 12))
-    k[:6, :6] = r.T @ k22 @ r
-    k[:6, 6:] = -r.T @ k22
-    k[6:, :6] = k[:6, 6:].T
-    k[6:, 6:] = k22
-    return 0.5 * (k + k.T), k22
+    k22 = 0.5 * (k22 + k22.swapaxes(-1, -2))
+    rt = g.rigid.swapaxes(-1, -2)
+    k = np.empty((k22.shape[0], 12, 12))
+    k[:, :6, :6] = rt @ k22 @ g.rigid
+    k[:, :6, 6:] = -rt @ k22
+    k[:, 6:, :6] = k[:, :6, 6:].swapaxes(-1, -2)
+    k[:, 6:, 6:] = k22
+    return 0.5 * (k + k.swapaxes(-1, -2)), k22
 
 
-def element_mass_local(M_sec: np.ndarray, length: float) -> np.ndarray:
-    """Consistent mass from linear interpolation of all six components."""
-    m = np.empty((12, 12))
-    m[:6, :6] = m[6:, 6:] = (length / 3.0) * M_sec
-    m[:6, 6:] = m[6:, :6] = (length / 6.0) * M_sec
+def element_stiffness_local(C: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact 12x12 local stiffness and the condensed end stiffness K22."""
+    g = ElementGeometry.build([[0.0, 0.0, 0.0], [length, 0.0, 0.0]], [(0, 1)])
+    k, k22 = _element_stiffness(np.linalg.inv(np.asarray(C, dtype=float))[None], g)
+    return k[0], k22[0]
+
+
+def _element_mass(m_sec: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Consistent masses from linear interpolation of all six components."""
+    m = np.empty((m_sec.shape[0], 12, 12))
+    m[:, :6, :6] = m[:, 6:, 6:] = (length / 3.0)[:, None, None] * m_sec
+    m[:, :6, 6:] = m[:, 6:, :6] = (length / 6.0)[:, None, None] * m_sec
     return m
 
 
-def element_geometric_local(axial_force: float, length: float) -> np.ndarray:
-    """Consistent geometric stiffness of a beam carrying axial force N.
+def _element_geometric(axial_force: np.ndarray, g: ElementGeometry) -> np.ndarray:
+    """Consistent geometric stiffnesses of elements carrying axial forces N.
 
     Positive N (tension) stiffens lateral deflection.  Only the two bending
     planes participate.
     """
-    n, L = axial_force, length
-    base = (n / L) * np.array(
-        [
-            [6.0 / 5.0, L / 10.0, -6.0 / 5.0, L / 10.0],
-            [L / 10.0, 2.0 * L**2 / 15.0, -L / 10.0, -(L**2) / 30.0],
-            [-6.0 / 5.0, -L / 10.0, 6.0 / 5.0, -L / 10.0],
-            [L / 10.0, -(L**2) / 30.0, -L / 10.0, 2.0 * L**2 / 15.0],
-        ]
-    )
-    kg = np.zeros((12, 12))
-    # plane (uy, rz): lateral slope pairs with +rz
-    map_y = [1, 5, 7, 11]
-    kg[np.ix_(map_y, map_y)] += base
-    # plane (uz, ry): lateral slope pairs with -ry
-    map_z = [2, 4, 8, 10]
-    sign = np.diag([1.0, -1.0, 1.0, -1.0])
-    kg[np.ix_(map_z, map_z)] += sign @ base @ sign
+    base = (axial_force / g.length)[:, None, None] * g.geometric
+    kg = np.zeros((base.shape[0], 12, 12))
+    kg[:, _MAP_Y[:, None], _MAP_Y] += base
+    kg[:, _MAP_Z[:, None], _MAP_Z] += _SIGN @ base @ _SIGN
     return kg
+
+
+def _assemble(g: ElementGeometry, local: np.ndarray, n_dof: int) -> np.ndarray:
+    """Sum the global element matrices into n_dof x n_dof, element by element."""
+    blocks = g.transform.swapaxes(-1, -2) @ local @ g.transform
+    return np.bincount(g.scatter, weights=blocks.ravel(), minlength=n_dof * n_dof).reshape(
+        n_dof, n_dof
+    )
 
 
 @dataclass(frozen=True)
@@ -119,6 +199,33 @@ class ElementDef:
 
     nodes: tuple[int, int]
     section: SectionProperties
+
+
+@dataclass(frozen=True)
+class ElementSet:
+    """Beam elements in array form.
+
+    C and M are the 6x6 stiffness and inertia of each distinct section;
+    section maps every element to one of them.
+    """
+
+    geometry: ElementGeometry
+    C: np.ndarray
+    M: np.ndarray
+    section: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.section.size)
+
+    @classmethod
+    def from_defs(cls, nodes: np.ndarray, defs) -> "ElementSet":
+        defs = list(defs)
+        return cls(
+            geometry=ElementGeometry.build(nodes, [ed.nodes for ed in defs]),
+            C=np.array([ed.section.C for ed in defs], dtype=float).reshape(-1, 6, 6),
+            M=np.array([ed.section.M for ed in defs], dtype=float).reshape(-1, 6, 6),
+            section=np.arange(len(defs)),
+        )
 
 
 @dataclass(frozen=True)
@@ -142,24 +249,16 @@ class BucklingResult:
     shapes: np.ndarray  # (n_dof, len(factors))
 
 
-@dataclass
-class _ElementData:
-    length: float
-    k_local: np.ndarray
-    k22: np.ndarray
-    m_local: np.ndarray
-    transform: np.ndarray  # 12x12 global -> local
-    dofs: np.ndarray
-    section: SectionProperties
-
-
 class BeamModel:
-    """Assembled beam: nodes, elements, clamped dofs, optional point masses."""
+    """Assembled beam: nodes, elements, clamped dofs, optional point masses.
+
+    elements is a list of ElementDef or an ElementSet on these nodes.
+    """
 
     def __init__(
         self,
         nodes: np.ndarray,
-        elements: list[ElementDef],
+        elements: list[ElementDef] | ElementSet,
         fixed_dofs: list[int] | np.ndarray = (),
         point_masses: list[PointMass] = (),
     ):
@@ -172,20 +271,13 @@ class BeamModel:
         self.fixed = fixed
         self.free = np.setdiff1d(np.arange(self.n_dof), fixed)
         self.point_masses = tuple(point_masses)
-        self.elements: list[_ElementData] = []
-        for ed in elements:
-            i, j = ed.nodes
-            frame = element_frame(self.nodes[i], self.nodes[j])
-            length = float(np.linalg.norm(self.nodes[j] - self.nodes[i]))
-            k_loc, k22 = element_stiffness_local(ed.section.C, length)
-            m_loc = element_mass_local(ed.section.M, length)
-            q = np.zeros((12, 12))
-            for b in range(4):
-                q[3 * b : 3 * b + 3, 3 * b : 3 * b + 3] = frame.T
-            dofs = np.concatenate([6 * i + np.arange(6), 6 * j + np.arange(6)])
-            self.elements.append(
-                _ElementData(length, k_loc, k22, m_loc, q, dofs, ed.section)
-            )
+        if not isinstance(elements, ElementSet):
+            elements = ElementSet.from_defs(self.nodes, elements)
+        self.elements = elements
+        self._C = elements.C[elements.section]
+        sc = np.linalg.inv(elements.C)[elements.section]
+        self._k_local, self._k22 = _element_stiffness(sc, elements.geometry)
+        self._m_local = _element_mass(elements.M[elements.section], elements.geometry.length)
         self._K: np.ndarray | None = None
         self._M: np.ndarray | None = None
         self._modes: dict[int, ModalResult] = {}
@@ -194,19 +286,13 @@ class BeamModel:
 
     def stiffness(self) -> np.ndarray:
         if self._K is None:
-            k = np.zeros((self.n_dof, self.n_dof))
-            for e in self.elements:
-                kg = e.transform.T @ e.k_local @ e.transform
-                k[np.ix_(e.dofs, e.dofs)] += kg
+            k = _assemble(self.elements.geometry, self._k_local, self.n_dof)
             self._K = 0.5 * (k + k.T)
         return self._K
 
     def mass(self) -> np.ndarray:
         if self._M is None:
-            m = np.zeros((self.n_dof, self.n_dof))
-            for e in self.elements:
-                mg = e.transform.T @ e.m_local @ e.transform
-                m[np.ix_(e.dofs, e.dofs)] += mg
+            m = _assemble(self.elements.geometry, self._m_local, self.n_dof)
             for pm in self.point_masses:
                 base = 6 * pm.node
                 m[base : base + 3, base : base + 3] += pm.mass * np.eye(3)
@@ -221,46 +307,30 @@ class BeamModel:
 
     def geometric_stiffness(self, u: np.ndarray) -> np.ndarray:
         """Assembled geometric stiffness at the displacement state u."""
-        kg = np.zeros((self.n_dof, self.n_dof))
-        for e, n in zip(self.elements, self.element_axial_forces(u)):
-            kg_loc = element_geometric_local(n, e.length)
-            kg[np.ix_(e.dofs, e.dofs)] += e.transform.T @ kg_loc @ e.transform
+        g = self.elements.geometry
+        kg = _assemble(g, _element_geometric(self._end_forces(u)[:, 0], g), self.n_dof)
         return 0.5 * (kg + kg.T)
 
     # -- element state ----------------------------------------------------
 
-    @staticmethod
-    def _element_deformation(e: _ElementData, u: np.ndarray) -> np.ndarray:
-        """Local end-2 displacement relative to the rigid motion of end 1."""
-        u_loc = e.transform @ u[e.dofs]
-        r = np.eye(6)
-        r[:3, 3:] = -e.length * _J_LEVER
-        return u_loc[6:] - r @ u_loc[:6]
+    def _deformations(self, u: np.ndarray) -> np.ndarray:
+        """Local end-2 displacements relative to the rigid motion of end 1, (n_elem, 6)."""
+        g = self.elements.geometry
+        u_loc = (g.transform @ np.asarray(u, dtype=float)[g.dofs][..., None])[..., 0]
+        return u_loc[:, 6:] - (g.rigid @ u_loc[:, :6, None])[..., 0]
 
-    def _element_end_forces(self, e: _ElementData, u: np.ndarray) -> np.ndarray:
-        """Local end-2 load vector of one element."""
-        return e.k22 @ self._element_deformation(e, u)
-
-    def element_axial_forces(self, u: np.ndarray) -> np.ndarray:
-        return np.array([self._element_end_forces(e, u)[0] for e in self.elements])
+    def _end_forces(self, u: np.ndarray) -> np.ndarray:
+        """Local end-2 load vectors, (n_elem, 6)."""
+        return (self._k22 @ self._deformations(u)[..., None])[..., 0]
 
     def element_mid_strains(self, u: np.ndarray) -> np.ndarray:
         """Section strain vector of every element at its midpoint, (n_elem, 6)."""
-        out = np.empty((len(self.elements), 6))
-        for k, e in enumerate(self.elements):
-            p2 = self._element_end_forces(e, u)
-            a_mid = np.eye(6)
-            a_mid[3:, :3] = 0.5 * e.length * _J_LEVER
-            s_mid = a_mid @ p2
-            out[k] = np.linalg.solve(e.section.C, s_mid)
-        return out
+        s_mid = self.elements.geometry.mid @ self._end_forces(u)[..., None]
+        return np.linalg.solve(self._C, s_mid)[..., 0]
 
     def element_strain_energy(self, u: np.ndarray) -> np.ndarray:
-        out = np.empty(len(self.elements))
-        for k, e in enumerate(self.elements):
-            d = self._element_deformation(e, u)
-            out[k] = 0.5 * d @ e.k22 @ d
-        return out
+        d = self._deformations(u)
+        return ((0.5 * d)[:, None, :] @ self._k22 @ d[:, :, None])[:, 0, 0]
 
     # -- solvers ----------------------------------------------------------
 

@@ -189,13 +189,7 @@ def compare_modal(lf: WingModel, hf: WingModel, n_modes: int = 8) -> ComparisonR
 def _zero_operators(model: WingModel) -> AeroOperators:
     n = model.beam.n_dof
     z = np.zeros((n, n))
-    return AeroOperators(
-        K_a=z,
-        D_a=z.copy(),
-        f_alpha=np.zeros(n),
-        t_load=np.zeros((n, 0)),
-        t_wash=np.zeros((0, n)),
-    )
+    return AeroOperators(K_a=z, D_a=z.copy(), f_alpha=np.zeros(n))
 
 
 def compare_aeroelastic(

@@ -48,6 +48,7 @@ from .fidelity import (
     beam_nodes,
     build_wing_model,
     wing_lattice,
+    wing_structure,
 )
 from .laminate import (
     LaminationParameters,
@@ -57,6 +58,7 @@ from .laminate import (
     pad_critical,
     tsai_wu_factor,
 )
+from .section import wall_stresses
 
 GRAVITY = 9.80665
 FD_REL_STEP = 1.0e-6
@@ -228,7 +230,9 @@ class WingAnalysis:
     This holds because the beam nodes and the lattice depend only on the
     definition and the fidelity config, never on the design vector; a
     change that lets nodes or lattice follow the design must drop this
-    cache as well.
+    cache as well.  The design-independent structure of the level
+    (`fidelity.WingStructure`) is likewise built on the first model build
+    and kept with the definition.
     """
 
     def __init__(
@@ -344,18 +348,13 @@ class WingAnalysis:
         res, loads = self.trim(model, i_lc)
 
         if self._have("tw"):
-            strains = beam.element_mid_strains(res.u)
-            per_panel: list[list[float]] = [[] for _ in range(defn.n_panels)]
-            for e_idx in range(len(beam.elements)):
-                sec = model.bay_sections[model.element_bay[e_idx]]
-                for st in sec.recovery:
-                    s = st.wall_stresses(strains[e_idx])
-                    per_panel[st.panel_index].append(
-                        tsai_wu_factor((s[0], s[1], s[2]), defn.material) - 1.0
-                    )
-            sl = lay.rows(i_lc, "tw")
-            c[sl] = np.concatenate(
-                [pad_critical(v, N_TSAI_WU) for v in per_panel]
+            sec, bay = model.sections, model.element_bay
+            strains = beam.element_mid_strains(res.u)[:, None, :]
+            s = wall_stresses(sec.strain_map[bay], sec.membrane[bay], sec.thickness[bay], strains)
+            w = tsai_wu_factor((s[..., 0], s[..., 1], s[..., 2]), defn.material) - 1.0
+            w = w.ravel()  # element by element, walls in contour order
+            c[lay.rows(i_lc, "tw")] = np.concatenate(
+                [pad_critical(w[i], N_TSAI_WU) for i in model.structure.panel_stations]
             )
 
         if self._have("b"):
@@ -407,10 +406,13 @@ class WingAnalysis:
     def mass_gradient(self, x) -> np.ndarray:
         """Closed-form objective gradient; nonzero only on thickness entries.
 
-        Wall areas are fixed geometry, so the gradient does not depend on x.
+        Wall areas are fixed geometry, so the gradient does not depend on x;
+        it is read from the level's wall-area table without building a model.
         """
+        unpack_design(x, self.definition.n_panels)  # same checks as a model build
         g = np.zeros(self.definition.n_variables)
-        g[VARS_PER_PANEL - 1 :: VARS_PER_PANEL] = self.build_model(x).mass_thickness_gradient()
+        structure = wing_structure(self.definition, self.fidelity)
+        g[VARS_PER_PANEL - 1 :: VARS_PER_PANEL] = structure.thickness_gradient
         return g
 
     def gradients(self, x) -> GradientResult:

@@ -14,20 +14,37 @@ Wing layout: the span splits into rib bays; every bay takes a prismatic box
 section evaluated at its mid-span chord.  Spanwise zones group bays; each
 zone assigns one design panel per box wall and one buckling region.  Beam
 nodes sit on the elastic axis, the chordwise center of the box.
+
+Built once per definition and level (`WingStructure`): bay box geometry,
+the bay -> panel map, the knockdown, nodes, element geometry and assembly
+indices, region map and wall areas.  Built per design (`build_wing_model`):
+one condensed membrane per design panel, then every bay's C and M, the
+element matrices and the assembled K and M as batched array expressions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aero import Lattice, Planform, build_lattice
 from .aeroelastic import AileronDef
-from .beam import BeamModel, ElementDef, PointMass
+from .beam import BeamModel, ElementGeometry, ElementSet, PointMass
 from .laminate import MaterialProperties, PanelDesign
-from .section import SectionProperties, box_section
+from .section import (
+    BOX_WALLS,
+    RecoveryStation,
+    SectionBatch,
+    SectionProperties,
+    box_corners,
+    condensed_membrane,
+    contour_geometry,
+    panel_arc_length,
+    section_batch,
+)
 
 CATEGORIES = ("tw", "b", "ds", "ae", "AoA", "feas")
 
@@ -66,6 +83,8 @@ class WingDefinition:
     supported_mass: float = 0.0
     fixed_mass: float = 0.0
     availability: dict | None = None
+    # WingStructure per FidelityConfig, filled by wing_structure
+    _structures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_bays < 1:
@@ -134,51 +153,158 @@ class FidelityConfig:
             raise ValueError("torsion knockdown must lie in (0, 1]")
 
 
+class WingStructure:
+    """Everything of one wing at one fidelity level that no design changes.
+
+    Bay box geometry (wall tangents, lengths, enclosed areas, Gauss points),
+    the (n_bays, 4) bay -> panel map in contour order, the per-bay knockdown
+    congruence, beam nodes, element geometry and assembly indices, point
+    masses, the element -> region map, the wall-area table behind the mass
+    thickness gradient, and the Tsai-Wu stations of every panel.  Built once
+    per definition and level by `wing_structure`; `build` adds a design.
+    """
+
+    def __init__(self, defn: WingDefinition, fid: FidelityConfig):
+        self.definition = defn
+        self.fidelity = fid
+        n_bays = defn.n_bays
+        bay_edges = np.linspace(0.0, defn.planform.semi_span, n_bays + 1)
+        chord = defn.planform.chord(0.5 * (bay_edges[:-1] + bay_edges[1:]))
+        f0, f1 = defn.box_chord_frac
+        self.contour = contour_geometry(
+            *box_corners((f1 - f0) * chord, defn.box_height_frac * chord)
+        )
+        wall_maps = [defn.wall_panels[defn.bay_zone(b)] for b in range(n_bays)]
+        self.bay_panel = np.array([[int(wm[w]) for w in BOX_WALLS] for wm in wall_maps])
+        self.knockdown = np.ones((n_bays, 6, 6))
+        if fid.torsion_knockdown < 1.0:
+            flagged = range(n_bays) if fid.knockdown_bays is None else fid.knockdown_bays
+            bays = sorted(set(flagged) & set(range(n_bays)))
+            self.knockdown[bays] = _knockdown(fid.torsion_knockdown)
+
+        self.nodes = beam_nodes(defn, fid)
+        n_elem = self.nodes.shape[0] - 1
+        self.elements = ElementGeometry.build(self.nodes, [(k, k + 1) for k in range(n_elem)])
+        self.element_bay = np.repeat(np.arange(n_bays), fid.mesh_factor)
+        self.point_masses = tuple(
+            PointMass(node=int(round(frac * n_elem)), mass=m) for frac, m in fid.extra_masses
+        )
+        zones = np.array([defn.bay_zone(b) for b in self.element_bay])
+        self.element_region = np.asarray(defn.zone_regions)[zones]
+        edge_pts = np.column_stack([defn.elastic_axis_x(bay_edges), bay_edges])
+        self.bay_axis_length = np.linalg.norm(np.diff(edge_pts, axis=0), axis=1)
+
+        # d(mass)/d(panel thickness), closed form: rho * wall area
+        self.thickness_gradient = np.zeros(defn.n_panels)
+        rho = defn.material.rho
+        for b in range(n_bays):
+            arc = panel_arc_length(self.bay_panel[b], self.contour.length[b])
+            for panel, wall_length in arc.items():
+                self.thickness_gradient[panel] += rho * wall_length * self.bay_axis_length[b]
+        station_panel = self.bay_panel[self.element_bay].ravel()
+        self.panel_stations = tuple(
+            np.flatnonzero(station_panel == p) for p in range(defn.n_panels)
+        )
+        for a in (self.bay_panel, self.knockdown, self.element_bay, self.element_region,
+                  self.bay_axis_length, self.thickness_gradient):
+            a.flags.writeable = False
+
+    def build(self, panels: list[PanelDesign]) -> "WingModel":
+        """Sections of every bay and the assembled beam for one design."""
+        material = self.definition.material
+        membrane = np.array([condensed_membrane(p, material) for p in panels])
+        thickness = np.array([p.thickness for p in panels], dtype=float)
+        walls = self.bay_panel
+        sec = section_batch(self.contour, membrane[walls], thickness[walls], material.rho)
+        sec = dataclasses.replace(sec, C=sec.C * self.knockdown)
+        beam = BeamModel(
+            self.nodes,
+            ElementSet(self.elements, sec.C, sec.M, self.element_bay),
+            fixed_dofs=np.arange(6),
+            point_masses=self.point_masses,
+        )
+        return WingModel(beam=beam, structure=self, sections=sec)
+
+
 @dataclass
 class WingModel:
-    """One built fidelity instance of the wing for a specific design."""
+    """One built fidelity instance of the wing for a specific design.
+
+    sections holds the per-bay section arrays; C carries the knockdown.
+    """
 
     beam: BeamModel
-    definition: WingDefinition
-    fidelity: FidelityConfig
-    bay_sections: tuple[SectionProperties, ...]
-    element_bay: np.ndarray  # bay index of every beam element
-    bay_axis_length: np.ndarray  # elastic-axis length of every bay
+    structure: WingStructure
+    sections: SectionBatch
+
+    @property
+    def definition(self) -> WingDefinition:
+        return self.structure.definition
+
+    @property
+    def fidelity(self) -> FidelityConfig:
+        return self.structure.fidelity
+
+    @property
+    def element_bay(self) -> np.ndarray:
+        """Bay index of every beam element."""
+        return self.structure.element_bay
+
+    @property
+    def bay_axis_length(self) -> np.ndarray:
+        """Elastic-axis length of every bay."""
+        return self.structure.bay_axis_length
 
     @property
     def lattice(self) -> Lattice:
         """The fidelity level's vortex lattice; it does not depend on the design."""
         return wing_lattice(self.definition, self.fidelity)
 
-    def structural_mass(self) -> float:
-        return float(
-            sum(l * p.mu for l, p in zip(self.bay_axis_length, self.bay_sections))
+    @functools.cached_property
+    def bay_sections(self) -> tuple[SectionProperties, ...]:
+        """Per-bay section objects, built on first access for inspection."""
+        st, sec = self.structure, self.sections
+        return tuple(
+            SectionProperties(
+                C=sec.C[b],
+                M=sec.M[b],
+                mu=float(sec.M[b, 0, 0]),
+                enclosed_area=float(st.contour.enclosed_area[b]),
+                recovery=tuple(
+                    RecoveryStation(int(p), sec.strain_map[b, j], sec.membrane[b, j],
+                                    float(sec.thickness[b, j]))
+                    for j, p in enumerate(st.bay_panel[b])
+                ),
+                panel_arc_length=panel_arc_length(st.bay_panel[b], st.contour.length[b]),
+            )
+            for b in range(self.definition.n_bays)
         )
+
+    def structural_mass(self) -> float:
+        # running total in bay order
+        return float(np.cumsum(self.bay_axis_length * self.sections.M[:, 0, 0])[-1])
 
     def mass_with_fixed(self) -> float:
         return self.structural_mass() + self.definition.fixed_mass
 
     def mass_thickness_gradient(self) -> np.ndarray:
         """d(mass)/d(panel thickness), closed form: rho * wall area."""
-        g = np.zeros(self.definition.n_panels)
-        rho = self.definition.material.rho
-        for length, props in zip(self.bay_axis_length, self.bay_sections):
-            for panel, arc in props.panel_arc_length.items():
-                g[panel] += rho * arc * length
-        return g
+        return self.structure.thickness_gradient.copy()
 
     def element_region(self) -> np.ndarray:
-        zones = np.array([self.definition.bay_zone(b) for b in self.element_bay])
-        regions = np.asarray(self.definition.zone_regions)
-        return regions[zones]
+        return self.structure.element_region
+
+
+def _knockdown(kappa: float) -> np.ndarray:
+    """Congruence factors D_i D_j with D = diag(1, 1, 1, sqrt(kappa), 1, 1)."""
+    d = np.ones(6)
+    d[3] = np.sqrt(kappa)
+    return np.outer(d, d)
 
 
 def apply_torsion_knockdown(props: SectionProperties, kappa: float) -> SectionProperties:
     """Scale torsion row and column of C by sqrt(kappa); all else untouched."""
-    d = np.ones(6)
-    d[3] = np.sqrt(kappa)
-    c = props.C * np.outer(d, d)
-    return dataclasses.replace(props, C=c)
+    return dataclasses.replace(props, C=props.C * _knockdown(kappa))
 
 
 def beam_nodes(defn: WingDefinition, fid: FidelityConfig) -> np.ndarray:
@@ -198,58 +324,21 @@ def wing_lattice(defn: WingDefinition, fid: FidelityConfig) -> Lattice:
     return build_lattice(defn.planform, nx=fid.lattice_nx, ny=fid.lattice_ny)
 
 
+def wing_structure(defn: WingDefinition, fid: FidelityConfig) -> WingStructure:
+    """The level's design-independent structure, built on first use and kept on defn."""
+    structure = defn._structures.get(fid)
+    if structure is None:
+        structure = defn._structures[fid] = WingStructure(defn, fid)
+    return structure
+
+
 def build_wing_model(
     defn: WingDefinition, panels: list[PanelDesign], fid: FidelityConfig
 ) -> WingModel:
     """Assemble the beam for one design at one fidelity level."""
     if len(panels) != defn.n_panels:
         raise ValueError(f"expected {defn.n_panels} panel designs, got {len(panels)}")
-    span = defn.planform.semi_span
-    bay_edges = np.linspace(0.0, span, defn.n_bays + 1)
-    flagged = (
-        set(range(defn.n_bays)) if fid.knockdown_bays is None else set(fid.knockdown_bays)
-    )
-    f0, f1 = defn.box_chord_frac
-
-    sections = []
-    for b in range(defn.n_bays):
-        y_mid = 0.5 * (bay_edges[b] + bay_edges[b + 1])
-        chord = float(defn.planform.chord(y_mid))
-        zone = defn.bay_zone(b)
-        wall_map = defn.wall_panels[zone]
-        walls = {name: panels[wall_map[name]] for name in WALL_NAMES}
-        sec = box_section(
-            width=(f1 - f0) * chord,
-            height=defn.box_height_frac * chord,
-            walls=walls,
-            material=defn.material,
-            panel_indices={k: int(v) for k, v in wall_map.items()},
-        )
-        props = sec.build()
-        if fid.torsion_knockdown < 1.0 and b in flagged:
-            props = apply_torsion_knockdown(props, fid.torsion_knockdown)
-        sections.append(props)
-
-    nodes = beam_nodes(defn, fid)
-    n_elem = nodes.shape[0] - 1
-    element_bay = np.repeat(np.arange(defn.n_bays), fid.mesh_factor)
-    elements = [
-        ElementDef((k, k + 1), sections[element_bay[k]]) for k in range(n_elem)
-    ]
-    masses = [
-        PointMass(node=int(round(frac * n_elem)), mass=m)
-        for frac, m in fid.extra_masses
-    ]
-    beam = BeamModel(nodes, elements, fixed_dofs=np.arange(6), point_masses=masses)
-    edge_pts = np.column_stack([defn.elastic_axis_x(bay_edges), bay_edges])
-    return WingModel(
-        beam=beam,
-        definition=defn,
-        fidelity=fid,
-        bay_sections=tuple(sections),
-        element_bay=element_bay,
-        bay_axis_length=np.linalg.norm(np.diff(edge_pts, axis=0), axis=1),
-    )
+    return wing_structure(defn, fid).build(panels)
 
 
 def make_lf(defn: WingDefinition, loadcases, cfg: FidelityConfig | None = None):

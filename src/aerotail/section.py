@@ -19,6 +19,12 @@ Coordinates handed to a segment are measured in the section plane; the
 reference point used for bending and torsion terms is the arc-length
 centroid of the contour, which depends on wall geometry only and therefore
 stays put when laminates change.
+
+Every quantity is computed for a stack of contours with the same number of
+walls at once.  `contour_geometry` holds what depends on the wall geometry
+only (endpoints, tangents, lengths, enclosed areas, Gauss points and their
+inertia maps); `section_batch` adds the walls' membranes, thicknesses and
+density.  `CrossSection.build` runs both on a stack of one.
 """
 
 from __future__ import annotations
@@ -63,14 +69,21 @@ class WallSegment:
     material: MaterialProperties
     panel_index: int = -1
 
-    @property
-    def length(self) -> float:
-        return float(np.hypot(self.p2[0] - self.p1[0], self.p2[1] - self.p1[1]))
 
-    @property
-    def tangent(self) -> np.ndarray:
-        d = np.array([self.p2[0] - self.p1[0], self.p2[1] - self.p1[1]])
-        return d / np.linalg.norm(d)
+def wall_stresses(strain_map, membrane, thickness, section_strains) -> np.ndarray:
+    """Smeared wall stresses (sigma_xx, sigma_ss, tau_xs) in Pa, shape (..., 3).
+
+    strain_map (..., 2, 6) turns section strains (..., 6) into the wall
+    strain pair, membrane (..., 2, 2) that pair into force resultants.  The
+    hoop resultant is condensed to zero, so sigma_ss is zero by construction.
+    """
+    eps = strain_map @ np.asarray(section_strains, dtype=float)[..., None]
+    n = (membrane @ eps)[..., 0]
+    thickness = np.asarray(thickness, dtype=float)
+    s = np.zeros(n.shape[:-1] + (3,))
+    s[..., 0] = n[..., 0] / thickness
+    s[..., 2] = n[..., 1] / thickness
+    return s
 
 
 @dataclass(frozen=True)
@@ -87,14 +100,8 @@ class RecoveryStation:
     thickness: float
 
     def wall_stresses(self, section_strains: np.ndarray) -> np.ndarray:
-        """Smeared wall stresses (sigma_xx, sigma_ss, tau_xs) in Pa.
-
-        The hoop resultant is condensed to zero, so sigma_ss is zero by
-        construction.
-        """
-        eps = self.strain_map @ np.asarray(section_strains, dtype=float)
-        n = self.membrane @ eps
-        return np.array([n[0] / self.thickness, 0.0, n[1] / self.thickness])
+        """Smeared wall stresses (sigma_xx, sigma_ss, tau_xs) in Pa."""
+        return wall_stresses(self.strain_map, self.membrane, self.thickness, section_strains)
 
 
 @dataclass(frozen=True)
@@ -113,103 +120,211 @@ class SectionProperties:
     panel_arc_length: dict[int, float] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class ContourGeometry:
+    """Design-independent geometry of a stack of closed contours.
+
+    Arrays are indexed (section, wall, ...): unit tangents, lengths, and per
+    Gauss point the coordinates about the section's arc-length centroid, the
+    weights w * length and the unit-density inertia maps; `mid` holds the
+    wall midpoints used for stress recovery.
+    """
+
+    tangent: np.ndarray
+    length: np.ndarray
+    enclosed_area: np.ndarray
+    gauss: np.ndarray
+    weight: np.ndarray
+    inertia: np.ndarray
+    mid: np.ndarray
+
+
+def _wall_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 in wall order, starting from zero, as a running total."""
+    total = np.zeros(terms.shape[:1] + terms.shape[2:])
+    for j in range(terms.shape[1]):
+        total = total + terms[:, j]
+    return total
+
+
+def contour_geometry(p1, p2) -> ContourGeometry:
+    """Geometry of closed contours from wall endpoints p1, p2 of shape (n, walls, 2).
+
+    Walls must chain end to start and run counter-clockwise.
+    """
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if p1.shape[1] < 3:
+        raise ValueError("a closed cell needs at least 3 segments")
+    step = np.roll(p1, -1, axis=1) - p2
+    gap = np.hypot(step[..., 0], step[..., 1])
+    bad = gap[gap > _CLOSURE_TOL]
+    if bad.size:
+        raise ValueError(f"contour gap of {bad[0]:.3e} between segments")
+    area2 = _wall_sum(p1[..., 0] * p2[..., 1] - p2[..., 0] * p1[..., 1])
+    if np.any(area2 <= 0.0):
+        raise ValueError("contour must run counter-clockwise (positive area)")
+    d = p2 - p1
+    length = np.hypot(d[..., 0], d[..., 1])
+    # arc-length centroid: fixed by geometry, independent of the laminates
+    total = _wall_sum(length)
+    centre = 0.5 * (p1 + p2)
+    reference = np.stack(
+        [_wall_sum(centre[..., 0] * length) / total, _wall_sum(centre[..., 1] * length) / total],
+        axis=-1,
+    )
+    r1 = p1 - reference[:, None, :]
+    r2 = p2 - reference[:, None, :]
+    gauss = (1.0 - _GAUSS_XI)[:, None] * r1[:, :, None, :] + _GAUSS_XI[:, None] * r2[:, :, None, :]
+    return ContourGeometry(
+        tangent=d / np.linalg.norm(d, axis=-1, keepdims=True),
+        length=length,
+        enclosed_area=0.5 * area2,
+        gauss=gauss,
+        weight=_GAUSS_W * length[..., None],
+        inertia=_inertia_map(gauss[..., 0], gauss[..., 1]),
+        mid=0.5 * (r1 + r2),
+    )
+
+
+@dataclass(frozen=True)
+class SectionBatch:
+    """Per-design properties of a stack of sections.
+
+    C and M are (n, 6, 6); strain_map (n, walls, 2, 6) is the wall-midpoint
+    recovery map, membrane (n, walls, 2, 2) and thickness (n, walls) the
+    walls' condensed membranes and thicknesses.
+    """
+
+    C: np.ndarray
+    M: np.ndarray
+    strain_map: np.ndarray
+    membrane: np.ndarray
+    thickness: np.ndarray
+
+
+def section_batch(geom: ContourGeometry, membrane, thickness, rho) -> SectionBatch:
+    """Stiffness, inertia and recovery maps of every section in `geom`.
+
+    membrane (n, walls, 2, 2) and thickness (n, walls) describe the walls;
+    rho is their density, a scalar or per wall.  Contributions are summed
+    wall by wall and Gauss point by Gauss point in contour order.
+    """
+    membrane = np.asarray(membrane, dtype=float)
+    thickness = np.asarray(thickness, dtype=float)
+    shear = membrane[..., 1, 1]
+    # Bredt flow per unit twist rate: q1 = 2 A / int(ds / A_ss)
+    q1 = 2.0 * geom.enclosed_area / _wall_sum(geom.length / shear)
+    gt = q1[:, None] / shear
+    tx, ty = geom.tangent[..., 0], geom.tangent[..., 1]
+    b = _strain_map(
+        geom.gauss[..., 0], geom.gauss[..., 1], tx[..., None], ty[..., None], gt[..., None]
+    )
+    c_terms = geom.weight[..., None, None] * (
+        b.swapaxes(-1, -2) @ membrane[:, :, None] @ b
+    )
+    rho_t = rho * thickness
+    m_terms = (geom.weight * rho_t[..., None])[..., None, None] * geom.inertia
+    n_sec, n_wall, n_gauss = geom.weight.shape
+    c = np.zeros((n_sec, 6, 6))
+    m = np.zeros((n_sec, 6, 6))
+    for j in range(n_wall):
+        for g in range(n_gauss):
+            c += c_terms[:, j, g]
+            m += m_terms[:, j, g]
+    return SectionBatch(
+        C=0.5 * (c + c.swapaxes(-1, -2)),
+        M=0.5 * (m + m.swapaxes(-1, -2)),
+        strain_map=_strain_map(geom.mid[..., 0], geom.mid[..., 1], tx, ty, gt),
+        membrane=membrane,
+        thickness=thickness,
+    )
+
+
 class CrossSection:
     """Single-cell thin-walled section defined by a closed segment chain."""
 
     def __init__(self, segments: tuple[WallSegment, ...] | list[WallSegment]):
-        segments = tuple(segments)
-        if len(segments) < 3:
-            raise ValueError("a closed cell needs at least 3 segments")
-        for a, b in zip(segments, segments[1:] + segments[:1]):
-            gap = np.hypot(b.p1[0] - a.p2[0], b.p1[1] - a.p2[1])
-            if gap > _CLOSURE_TOL:
-                raise ValueError(f"contour gap of {gap:.3e} between segments")
-        area2 = sum(s.p1[0] * s.p2[1] - s.p2[0] * s.p1[1] for s in segments)
-        if area2 <= 0.0:
-            raise ValueError("contour must run counter-clockwise (positive area)")
-        self.segments = segments
-        self.enclosed_area = 0.5 * area2
-        # arc-length centroid: fixed by geometry, independent of the laminates
-        total = sum(s.length for s in segments)
-        cy = sum(0.5 * (s.p1[0] + s.p2[0]) * s.length for s in segments) / total
-        cz = sum(0.5 * (s.p1[1] + s.p2[1]) * s.length for s in segments) / total
-        self.reference = np.array([cy, cz])
-
-    def _segment_frames(self):
-        """Per segment: endpoints relative to reference, tangent, membrane."""
-        frames = []
-        for seg in self.segments:
-            r1 = np.array(seg.p1) - self.reference
-            r2 = np.array(seg.p2) - self.reference
-            frames.append((seg, r1, r2, seg.tangent, condensed_membrane(seg.design, seg.material)))
-        return frames
+        self.segments = tuple(segments)
+        self.geometry = contour_geometry(
+            [[s.p1 for s in self.segments]], [[s.p2 for s in self.segments]]
+        )
+        self.enclosed_area = float(self.geometry.enclosed_area[0])
 
     def build(self) -> SectionProperties:
-        frames = self._segment_frames()
-
-        # Bredt flow per unit twist rate: q1 = 2 A / int(ds / A_ss)
-        inv_shear = sum(seg.length / ah[1, 1] for seg, _, _, _, ah in frames)
-        q1 = 2.0 * self.enclosed_area / inv_shear
-
-        c = np.zeros((6, 6))
-        m = np.zeros((6, 6))
-        recovery = []
-        arc: dict[int, float] = {}
-        for seg, r1, r2, tang, ah in frames:
-            gt = q1 / ah[1, 1]
-            rho_t = seg.material.rho * seg.design.thickness
-            for xi, w in zip(_GAUSS_XI, _GAUSS_W):
-                y, z = (1.0 - xi) * r1 + xi * r2
-                b = _strain_map(y, z, tang, gt)
-                dl = w * seg.length
-                c += dl * (b.T @ ah @ b)
-                m += dl * rho_t * _inertia_map(y, z)
-            ym, zm = 0.5 * (r1 + r2)
-            recovery.append(
-                RecoveryStation(
-                    panel_index=seg.panel_index,
-                    strain_map=_strain_map(ym, zm, tang, gt),
-                    membrane=ah,
-                    thickness=seg.design.thickness,
-                )
-            )
-            if seg.panel_index >= 0:
-                arc[seg.panel_index] = arc.get(seg.panel_index, 0.0) + seg.length
-        c = 0.5 * (c + c.T)
-        m = 0.5 * (m + m.T)
+        segs = self.segments
+        membrane = np.array([condensed_membrane(s.design, s.material) for s in segs])
+        thickness = np.array([s.design.thickness for s in segs])
+        rho = np.array([s.material.rho for s in segs])
+        sec = section_batch(self.geometry, membrane[None], thickness[None], rho[None])
+        panels = [s.panel_index for s in segs]
         return SectionProperties(
-            C=c,
-            M=m,
-            mu=float(m[0, 0]),
+            C=sec.C[0],
+            M=sec.M[0],
+            mu=float(sec.M[0, 0, 0]),
             enclosed_area=self.enclosed_area,
-            recovery=tuple(recovery),
-            panel_arc_length=arc,
+            recovery=tuple(
+                RecoveryStation(p, sec.strain_map[0, j], membrane[j], thickness[j])
+                for j, p in enumerate(panels)
+            ),
+            panel_arc_length=panel_arc_length(panels, self.geometry.length[0]),
         )
 
 
-def _strain_map(y: float, z: float, tangent: np.ndarray, gt: float) -> np.ndarray:
-    """Section strains -> (eps_xx, gam_xs) at a contour point."""
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0, z, -y],
-            [0.0, tangent[0], tangent[1], gt, 0.0, 0.0],
-        ]
-    )
+def panel_arc_length(panel_index, length) -> dict[int, float]:
+    """Contour length per design panel, summed in wall order; index -1 is no panel."""
+    arc: dict[int, float] = {}
+    for p, l in zip(panel_index, length):
+        if p >= 0:
+            arc[int(p)] = arc.get(int(p), 0.0) + l
+    return arc
 
 
-def _inertia_map(y: float, z: float) -> np.ndarray:
-    """Unit-density 6x6 inertia of a point at (y, z) in the section plane."""
-    j = np.zeros((6, 6))
-    j[0, 0] = j[1, 1] = j[2, 2] = 1.0
-    j[0, 4] = j[4, 0] = z
-    j[0, 5] = j[5, 0] = -y
-    j[1, 3] = j[3, 1] = -z
-    j[2, 3] = j[3, 2] = y
-    j[3, 3] = y * y + z * z
-    j[4, 4] = z * z
-    j[5, 5] = y * y
-    j[4, 5] = j[5, 4] = -y * z
+def _strain_map(y, z, tx, ty, gt) -> np.ndarray:
+    """Section strains -> (eps_xx, gam_xs) at contour points, shape (..., 2, 6)."""
+    shape = np.broadcast_shapes(np.shape(y), np.shape(tx), np.shape(gt))
+    b = np.zeros(shape + (2, 6))
+    b[..., 0, 0] = 1.0
+    b[..., 0, 4] = z
+    b[..., 0, 5] = -y
+    b[..., 1, 1] = tx
+    b[..., 1, 2] = ty
+    b[..., 1, 3] = gt
+    return b
+
+
+def _inertia_map(y, z) -> np.ndarray:
+    """Unit-density 6x6 inertia of points at (y, z) in the section plane, (..., 6, 6)."""
+    j = np.zeros(np.shape(y) + (6, 6))
+    j[..., 0, 0] = j[..., 1, 1] = j[..., 2, 2] = 1.0
+    j[..., 0, 4] = j[..., 4, 0] = z
+    j[..., 0, 5] = j[..., 5, 0] = -y
+    j[..., 1, 3] = j[..., 3, 1] = -z
+    j[..., 2, 3] = j[..., 3, 2] = y
+    j[..., 3, 3] = y * y + z * z
+    j[..., 4, 4] = z * z
+    j[..., 5, 5] = y * y
+    j[..., 4, 5] = j[..., 5, 4] = -y * z
     return j
+
+
+BOX_WALLS = ("lower", "rear", "upper", "front")
+
+
+def box_corners(width, height) -> tuple[np.ndarray, np.ndarray]:
+    """Wall endpoints (p1, p2), shape (..., 4, 2), of boxes centered on the origin.
+
+    Counter-clockwise: lower skin, rear spar, upper skin, front spar (the
+    order of BOX_WALLS).  y runs from the front spar (negative) to the rear
+    spar (positive), z from the lower to the upper skin.
+    """
+    w2 = 0.5 * np.asarray(width, dtype=float)
+    h2 = 0.5 * np.asarray(height, dtype=float)
+    fl = np.stack([-w2, -h2], axis=-1)
+    rl = np.stack([w2, -h2], axis=-1)
+    ru = np.stack([w2, h2], axis=-1)
+    fu = np.stack([-w2, h2], axis=-1)
+    return np.stack([fl, rl, ru, fu], axis=-2), np.stack([rl, ru, fu, fl], axis=-2)
 
 
 def box_section(
@@ -221,9 +336,8 @@ def box_section(
 ) -> CrossSection:
     """Rectangular single-cell box with walls `upper`, `lower`, `front`, `rear`.
 
-    Centered on the section origin: y runs from the front spar (negative) to
-    the rear spar (positive), z from the lower to the upper skin.  Each wall
-    is one segment.
+    Centered on the section origin (see `box_corners`); each wall is one
+    segment.
     """
     if width <= 0.0 or height <= 0.0:
         raise ValueError("box dimensions must be positive")
@@ -231,24 +345,11 @@ def box_section(
     if missing:
         raise ValueError(f"missing wall designs: {sorted(missing)}")
     idx = panel_indices or {}
-    w2, h2 = 0.5 * width, 0.5 * height
-    corners = {
-        "fl": (-w2, -h2),
-        "rl": (w2, -h2),
-        "ru": (w2, h2),
-        "fu": (-w2, h2),
-    }
-    # counter-clockwise: lower skin, rear spar, upper skin, front spar
-    loop = [
-        ("lower", corners["fl"], corners["rl"]),
-        ("rear", corners["rl"], corners["ru"]),
-        ("upper", corners["ru"], corners["fu"]),
-        ("front", corners["fu"], corners["fl"]),
-    ]
+    p1, p2 = box_corners(width, height)
     return CrossSection(
         [
-            WallSegment(p1, p2, walls[name], material, panel_index=idx.get(name, -1))
-            for name, p1, p2 in loop
+            WallSegment(tuple(p1[j]), tuple(p2[j]), walls[name], material, idx.get(name, -1))
+            for j, name in enumerate(BOX_WALLS)
         ]
     )
 

@@ -1,17 +1,43 @@
 """Two-fidelity wing construction: meshing, knockdown, masses, invariants."""
 
+import os
+
 import numpy as np
 import pytest
 
+import aerotail
 from aerotail.aero import Planform
 from aerotail.aeroelastic import AileronDef
+from aerotail.beam import (
+    BeamModel,
+    ElementDef,
+    PointMass,
+    element_frame,
+    element_stiffness_local,
+)
+from aerotail.config import load_config
+from aerotail.constraints import N_TSAI_WU, pack_design, unpack_design
 from aerotail.fidelity import (
     FidelityConfig,
     WingDefinition,
     apply_torsion_knockdown,
+    beam_nodes,
     build_wing_model,
 )
-from aerotail.laminate import MaterialProperties, PanelDesign, lp_from_stack
+from aerotail.laminate import (
+    MaterialProperties,
+    PanelDesign,
+    lp_from_stack,
+    pad_critical,
+    tsai_wu_factor,
+)
+from aerotail.section import (
+    _GAUSS_W,
+    _GAUSS_XI,
+    _inertia_map,
+    box_section,
+    condensed_membrane,
+)
 
 CFRP = MaterialProperties(
     E1=117.9e9,
@@ -340,3 +366,173 @@ class TestValidation:
         defn = small_definition()
         with pytest.raises(ValueError, match="panel designs"):
             build_wing_model(defn, small_panels()[:1], FidelityConfig())
+
+
+J_LEVER = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+DATA = os.path.join(os.path.dirname(aerotail.__file__), "data")
+
+
+def seeded_design(cfg, seed):
+    """Random 8-ply half stacks, shipped thicknesses scaled by 1 +- 15%."""
+    rng = np.random.default_rng(seed)
+    return pack_design([
+        PanelDesign(
+            lp_from_stack(np.deg2rad(rng.choice((0.0, 45.0, -45.0, 90.0), size=8))),
+            p.thickness * (1.0 + rng.uniform(-0.15, 0.15)),
+        )
+        for p in cfg.panels
+    ])
+
+
+def per_bay_reference(analysis, x):
+    """Bay sections one box at a time, checked wall by wall, and the beam from
+    an ElementDef list."""
+    defn, fid = analysis.definition, analysis.fidelity
+    panels = unpack_design(x, defn.n_panels)
+    edges = np.linspace(0.0, defn.planform.semi_span, defn.n_bays + 1)
+    f0, f1 = defn.box_chord_frac
+    flagged = range(defn.n_bays) if fid.knockdown_bays is None else fid.knockdown_bays
+    sections = []
+    for b in range(defn.n_bays):
+        chord = float(defn.planform.chord(0.5 * (edges[b] + edges[b + 1])))
+        wall_map = defn.wall_panels[defn.bay_zone(b)]
+        box = box_section(
+            width=(f1 - f0) * chord,
+            height=defn.box_height_frac * chord,
+            walls={name: panels[p] for name, p in wall_map.items()},
+            material=defn.material,
+            panel_indices=dict(wall_map),
+        )
+        props = box.build()
+        c, m = per_segment_section(box)
+        assert np.array_equal(props.C, c) and np.array_equal(props.M, m)
+        if fid.torsion_knockdown < 1.0 and b in flagged:
+            props = apply_torsion_knockdown(props, fid.torsion_knockdown)
+        sections.append(props)
+    nodes = beam_nodes(defn, fid)
+    n_elem = nodes.shape[0] - 1
+    bay = np.repeat(np.arange(defn.n_bays), fid.mesh_factor)
+    beam = BeamModel(
+        nodes,
+        [ElementDef((k, k + 1), sections[bay[k]]) for k in range(n_elem)],
+        fixed_dofs=np.arange(6),
+        point_masses=[PointMass(int(round(f * n_elem)), m) for f, m in fid.extra_masses],
+    )
+    return sections, beam, bay
+
+
+def per_segment_section(cross_section):
+    """C and M of one box, wall by wall and Gauss point by Gauss point."""
+    segs = cross_section.segments
+    p1 = [np.array(s.p1, dtype=float) for s in segs]
+    p2 = [np.array(s.p2, dtype=float) for s in segs]
+    lengths = [float(np.hypot(b[0] - a[0], b[1] - a[1])) for a, b in zip(p1, p2)]
+    total = sum(lengths)
+    ref = np.array([
+        sum(0.5 * (a[k] + b[k]) * length for a, b, length in zip(p1, p2, lengths)) / total
+        for k in (0, 1)
+    ])
+    area = 0.5 * sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(p1, p2))
+    ah = [condensed_membrane(s.design, s.material) for s in segs]
+    q1 = 2.0 * area / sum(length / a[1, 1] for length, a in zip(lengths, ah))
+    c = np.zeros((6, 6))
+    m = np.zeros((6, 6))
+    for seg, a, b, length, mem in zip(segs, p1, p2, lengths, ah):
+        tangent = (b - a) / np.linalg.norm(b - a)
+        gt = q1 / mem[1, 1]
+        rho_t = seg.material.rho * seg.design.thickness
+        for xi, w in zip(_GAUSS_XI, _GAUSS_W):
+            y, z = (1.0 - xi) * (a - ref) + xi * (b - ref)
+            bmap = np.array([[1.0, 0.0, 0.0, 0.0, z, -y], [0.0, *tangent, gt, 0.0, 0.0]])
+            c += w * length * (bmap.T @ mem @ bmap)
+            m += w * length * rho_t * _inertia_map(y, z)
+    return 0.5 * (c + c.T), 0.5 * (m + m.T)
+
+
+def per_element_assembly(beam, sections, bay):
+    """Global K and M summed element by element in element order."""
+    k = np.zeros((beam.n_dof, beam.n_dof))
+    m = np.zeros((beam.n_dof, beam.n_dof))
+    for e, b in enumerate(bay):
+        n1, n2 = beam.nodes[e], beam.nodes[e + 1]
+        length = float(np.linalg.norm(n2 - n1))
+        k_loc, _ = element_stiffness_local(sections[b].C, length)
+        m_loc = np.empty((12, 12))
+        m_loc[:6, :6] = m_loc[6:, 6:] = (length / 3.0) * sections[b].M
+        m_loc[:6, 6:] = m_loc[6:, :6] = (length / 6.0) * sections[b].M
+        q = np.zeros((12, 12))
+        for blk in range(4):
+            q[3 * blk : 3 * blk + 3, 3 * blk : 3 * blk + 3] = element_frame(n1, n2).T
+        ix = np.ix_(np.arange(6 * e, 6 * e + 12), np.arange(6 * e, 6 * e + 12))
+        k[ix] += q.T @ k_loc @ q
+        m[ix] += q.T @ m_loc @ q
+    for pm in beam.point_masses:
+        base = 6 * pm.node
+        m[base : base + 3, base : base + 3] += pm.mass * np.eye(3)
+        m[base + 3 : base + 6, base + 3 : base + 6] += np.diag(pm.inertia)
+    return 0.5 * (k + k.T), 0.5 * (m + m.T)
+
+
+def per_element_mid_strains(nodes, sections, bay, u):
+    """Midpoint section strains element by element, one 12-dof state at a time."""
+    out = []
+    for k, b in enumerate(bay):
+        c = sections[b].C
+        length = float(np.linalg.norm(nodes[k + 1] - nodes[k]))
+        _, k22 = element_stiffness_local(c, length)
+        q = np.zeros((12, 12))
+        for blk in range(4):
+            q[3 * blk : 3 * blk + 3, 3 * blk : 3 * blk + 3] = element_frame(
+                nodes[k], nodes[k + 1]
+            ).T
+        u_loc = q @ u[6 * k : 6 * k + 12]
+        r = np.eye(6)
+        r[:3, 3:] = -length * J_LEVER
+        p2 = k22 @ (u_loc[6:] - r @ u_loc[:6])
+        a_mid = np.eye(6)
+        a_mid[3:, :3] = 0.5 * length * J_LEVER
+        out.append(np.linalg.solve(c, a_mid @ p2))
+    return np.array(out)
+
+
+class TestBatchedAssembly:
+    """The batched design-to-matrices pass equals the per-bay, per-element path bit for bit."""
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    def test_matches_per_bay_reference(self, name, level):
+        cfg = load_config(os.path.join(DATA, name))
+        analysis = cfg.analyses()[level == "HF"]
+        defn = analysis.definition
+        for x in (cfg.initial_design(), seeded_design(cfg, 1), seeded_design(cfg, 2)):
+            model = analysis.build_model(x)
+            sections, ref, bay = per_bay_reference(analysis, x)
+            for got, want in zip(model.bay_sections, sections, strict=True):
+                assert np.array_equal(got.C, want.C)
+                assert np.array_equal(got.M, want.M)
+            assert np.array_equal(model.beam.stiffness(), ref.stiffness())
+            assert np.array_equal(model.beam.mass(), ref.mass())
+            k, m = per_element_assembly(ref, sections, bay)
+            assert np.array_equal(model.beam.stiffness(), k)
+            assert np.array_equal(model.beam.mass(), m)
+            assert model.structural_mass() == sum(
+                length * p.mu for length, p in zip(model.bay_axis_length, sections)
+            )
+
+            res, _ = analysis.trim(model, 0)
+            strains = model.beam.element_mid_strains(res.u)
+            assert np.array_equal(strains, ref.element_mid_strains(res.u))
+            assert np.array_equal(
+                strains, per_element_mid_strains(ref.nodes, sections, bay, res.u)
+            )
+
+            per_panel = [[] for _ in range(defn.n_panels)]
+            for k, b in enumerate(bay):
+                for st in sections[b].recovery:
+                    s = st.wall_stresses(strains[k])
+                    per_panel[st.panel_index].append(
+                        tsai_wu_factor((s[0], s[1], s[2]), defn.material) - 1.0
+                    )
+            tw = np.concatenate([pad_critical(v, N_TSAI_WU) for v in per_panel])
+            out = analysis.evaluate(x)
+            assert np.array_equal(out.c[analysis.layout.rows(0, "tw")], tw)
