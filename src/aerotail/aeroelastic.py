@@ -45,6 +45,8 @@ N_MODES = 40  # structural modes spanning the stability problem of larger models
 N_STABILITY = 10  # leading state-matrix eigenvalues kept per stability solve
 _TRIM_TOL = 1e-10  # relative residual of the static equilibrium and the lift target
 _TRIM_MAX_ITER = 30
+FLUTTER_TOL = 1e-4  # relative width of the critical-speed bracket at return
+FLUTTER_MAX_ITER = 80  # bisection halvings before critical_speed gives up
 
 
 def _z_indicator(n_dof: int) -> np.ndarray:
@@ -93,7 +95,7 @@ def static_aeroelastic(
             return StaticAeroelasticResult(
                 u=u, alpha=alpha, total_lift=float(sz @ f_aero), iterations=it - 1
             )
-        tff = (k - ops.K_a)[np.ix_(free, free)]
+        tff = model.free_block(k - ops.K_a)
         if not trim:
             u[free] += scipy.linalg.solve(tff, -r_struct)
             continue
@@ -115,10 +117,9 @@ def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
     Solves K u = lambda K_a u on the free dofs; infinity when the flow
     cannot diverge the structure at any positive pressure.
     """
-    free = model.free
-    kff = model.stiffness()[np.ix_(free, free)]
-    kaff = ops.K_a[np.ix_(free, free)]
-    lam = scipy.linalg.eig(kff, kaff, right=False)
+    lam = scipy.linalg.eig(
+        model.free_block(model.stiffness()), model.free_block(ops.K_a), right=False
+    )
     lam = lam[np.isfinite(lam)]
     real = lam[np.abs(lam.imag) <= _REAL_EIG_TOL * np.maximum(np.abs(lam.real), 1.0)].real
     pos = real[real > 0.0]
@@ -185,7 +186,7 @@ def _stability_basis(model: BeamModel) -> StabilityBasis:
     """
     free = model.free
     if free.size <= N_MODES:
-        cho = scipy.linalg.cho_factor(model.mass()[np.ix_(free, free)])
+        cho = scipy.linalg.cho_factor(model.free_block(model.mass()))
         return StabilityBasis(model, None, cho)
     return StabilityBasis(model, model.modal(N_MODES).shapes[free], None)
 
@@ -206,19 +207,17 @@ def dynamic_stability(
     model: BeamModel, ops: AeroOperators, n_keep: int = N_STABILITY
 ) -> StabilityResult:
     """Leading eigenvalues of the aeroelastic state matrix, in _stability_basis."""
-    free = model.free
-    ix = np.ix_(free, free)
     basis = _stability_basis(model)
     n = basis.size
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = np.eye(n)
-    a[n:, :n] = -basis.project((model.stiffness() - ops.K_a)[ix])
-    a[n:, n:] = -basis.project((rayleigh_damping(model) - ops.D_a)[ix])
+    a[n:, :n] = -basis.project(model.free_block(model.stiffness() - ops.K_a))
+    a[n:, n:] = -basis.project(model.free_block(rayleigh_damping(model) - ops.D_a))
     lam, vec = scipy.linalg.eig(a)
     order = np.lexsort((-lam.imag, -lam.real))
     keep = order[: min(n_keep, lam.size)]
     shapes = np.zeros((model.n_dof, keep.size), dtype=complex)
-    shapes[free, :] = basis.expand(vec[:n, keep])
+    shapes[model.free, :] = basis.expand(vec[:n, keep])
     kept = lam[keep]
     gaps = np.abs(np.diff(kept))
     degenerate = bool(np.any(gaps < _DEGENERATE_TOL * np.maximum(np.abs(kept[:-1]), 1.0)))
@@ -227,9 +226,7 @@ def dynamic_stability(
 
 @dataclass
 class AileronResult:
-    eta: float
-    roll_rigid: float
-    roll_flexible: float
+    eta: float  # flexible over rigid rolling moment per unit deflection
 
 
 @dataclass(frozen=True)
@@ -304,15 +301,13 @@ def aileron_solve(model: BeamModel, ops: AileronOperators) -> AileronResult:
     """Flexible response of the beam to unit aileron deflection."""
     lattice, flow = ops.lattice, ops.flow
     free = model.free
-    ku = (model.stiffness() - ops.k_a)[np.ix_(free, free)]
+    ku = model.free_block(model.stiffness() - ops.k_a)
     u = np.zeros(model.n_dof)
     u[free] = scipy.linalg.solve(ku, ops.f_delta[free])
     gamma_f = np.linalg.solve(ops.w_anti, -flow.V * (ops.alpha_delta + ops.t_wash @ u))
     lift_f = flow.rho * flow.V * gamma_f * lattice.dy
     roll_f = float(np.sum(lattice.load_pts[:, 1] * lift_f))
-    return AileronResult(
-        eta=roll_f / ops.roll_rigid, roll_rigid=ops.roll_rigid, roll_flexible=roll_f
-    )
+    return AileronResult(eta=roll_f / ops.roll_rigid)
 
 
 def aileron_effectiveness(
@@ -339,15 +334,13 @@ def _stability_margin(
     and each speed costs two scaled block updates and an eigenvalue-only
     eig.  Matches dynamic_stability(...).max_real to roundoff.
     """
-    free = model.free
-    ix = np.ix_(free, free)
     basis = _stability_basis(model)
     n = basis.size
     unit = aero_operators(lattice, FlowConditions(V=1.0, rho=1.0), model.nodes)
-    m_k = basis.project(model.stiffness()[ix])
-    m_c = basis.project(rayleigh_damping(model)[ix])
-    m_ka = basis.project(unit.K_a[ix])
-    m_da = basis.project(unit.D_a[ix])
+    m_k = basis.project(model.free_block(model.stiffness()))
+    m_c = basis.project(model.free_block(rayleigh_damping(model)))
+    m_ka = basis.project(model.free_block(unit.K_a))
+    m_da = basis.project(model.free_block(unit.D_a))
 
     def margin(v: float) -> float:
         flow = flow_of_v(v)
@@ -367,8 +360,6 @@ def critical_speed(
     flow_of_v: Callable[[float], FlowConditions],
     v_low: float,
     v_high: float,
-    tol: float = 1e-4,
-    max_iter: int = 80,
 ) -> float:
     """A speed in [v_low, v_high] where the state matrix loses stability.
 
@@ -376,7 +367,8 @@ def critical_speed(
     must be stable at v_low and unstable at v_high.  The result is a sign
     change of that margin, not necessarily the lowest one when the margin
     crosses zero more than once inside the bracket.  Raises RuntimeError
-    when max_iter halvings do not reach the relative width tol.
+    when FLUTTER_MAX_ITER halvings do not reach the relative width
+    FLUTTER_TOL.
     """
     margin = _stability_margin(model, lattice, flow_of_v)
     lo, hi = float(v_low), float(v_high)
@@ -385,16 +377,17 @@ def critical_speed(
         raise ValueError(f"lower bracket V={lo} is already unstable")
     if m_hi < 0.0:
         raise ValueError(f"no instability up to V={hi}")
-    for _ in range(max_iter):
-        if hi - lo <= tol * hi:
+    for _ in range(FLUTTER_MAX_ITER):
+        if hi - lo <= FLUTTER_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if margin(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    if hi - lo > tol * hi:
+    if hi - lo > FLUTTER_TOL * hi:
         raise RuntimeError(
-            f"bisection left [{lo}, {hi}] wider than tol={tol} after max_iter={max_iter}"
+            f"bisection left [{lo}, {hi}] wider than tol={FLUTTER_TOL} "
+            f"after max_iter={FLUTTER_MAX_ITER}"
         )
     return 0.5 * (lo + hi)

@@ -25,8 +25,7 @@ Element data are arrays over all elements.  `ElementGeometry` holds what
 the nodes fix (lengths, frames, 12x12 transforms, dofs and assembly
 indices), `ElementSet` adds the section matrices of one design, and every
 element matrix, assembly and element state is one batched expression over
-them.  `BeamModel` built from a list of `ElementDef` and
-`element_stiffness_local` run the same kernels.
+them.  Every model is clamped at node 0; its other dofs are free.
 """
 
 from __future__ import annotations
@@ -157,13 +156,6 @@ def _element_stiffness(sc: np.ndarray, g: ElementGeometry) -> tuple[np.ndarray, 
     return 0.5 * (k + k.swapaxes(-1, -2)), k22
 
 
-def element_stiffness_local(C: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact 12x12 local stiffness and the condensed end stiffness K22."""
-    g = ElementGeometry.build([[0.0, 0.0, 0.0], [length, 0.0, 0.0]], [(0, 1)])
-    k, k22 = _element_stiffness(np.linalg.inv(np.asarray(C, dtype=float))[None], g)
-    return k[0], k22[0]
-
-
 def _element_mass(m_sec: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Consistent masses from linear interpolation of all six components."""
     m = np.empty((m_sec.shape[0], 12, 12))
@@ -194,14 +186,6 @@ def _assemble(g: ElementGeometry, local: np.ndarray, n_dof: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ElementDef:
-    """One beam element: node pair and section."""
-
-    nodes: tuple[int, int]
-    section: SectionProperties
-
-
-@dataclass(frozen=True)
 class ElementSet:
     """Beam elements in array form.
 
@@ -217,16 +201,6 @@ class ElementSet:
     def __len__(self) -> int:
         return int(self.section.size)
 
-    @classmethod
-    def from_defs(cls, nodes: np.ndarray, defs) -> "ElementSet":
-        defs = list(defs)
-        return cls(
-            geometry=ElementGeometry.build(nodes, [ed.nodes for ed in defs]),
-            C=np.array([ed.section.C for ed in defs], dtype=float).reshape(-1, 6, 6),
-            M=np.array([ed.section.M for ed in defs], dtype=float).reshape(-1, 6, 6),
-            section=np.arange(len(defs)),
-        )
-
 
 @dataclass(frozen=True)
 class PointMass:
@@ -240,7 +214,7 @@ class PointMass:
 @dataclass
 class ModalResult:
     omega: np.ndarray  # rad/s, ascending
-    shapes: np.ndarray  # (n_dof, n_modes), mass-orthonormal, zeros at fixed dofs
+    shapes: np.ndarray  # (n_dof, n_modes), mass-orthonormal, zeros at the clamped node
 
 
 @dataclass
@@ -250,29 +224,19 @@ class BucklingResult:
 
 
 class BeamModel:
-    """Assembled beam: nodes, elements, clamped dofs, optional point masses.
-
-    elements is a list of ElementDef or an ElementSet on these nodes.
-    """
+    """Assembled beam clamped at node 0: nodes, an ElementSet on them, point masses."""
 
     def __init__(
         self,
         nodes: np.ndarray,
-        elements: list[ElementDef] | ElementSet,
-        fixed_dofs: list[int] | np.ndarray = (),
+        elements: ElementSet,
         point_masses: list[PointMass] = (),
     ):
         self.nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
         self.n_nodes = self.nodes.shape[0]
         self.n_dof = 6 * self.n_nodes
-        fixed = np.unique(np.asarray(fixed_dofs, dtype=int))
-        if fixed.size and (fixed.min() < 0 or fixed.max() >= self.n_dof):
-            raise ValueError("fixed dof index out of range")
-        self.fixed = fixed
-        self.free = np.setdiff1d(np.arange(self.n_dof), fixed)
+        self.free = np.arange(6, self.n_dof)  # every dof but node 0's
         self.point_masses = tuple(point_masses)
-        if not isinstance(elements, ElementSet):
-            elements = ElementSet.from_defs(self.nodes, elements)
         self.elements = elements
         self._C = elements.C[elements.section]
         sc = np.linalg.inv(elements.C)[elements.section]
@@ -334,8 +298,9 @@ class BeamModel:
 
     # -- solvers ----------------------------------------------------------
 
-    def _free(self, a: np.ndarray) -> np.ndarray:
-        return a[np.ix_(self.free, self.free)]
+    def free_block(self, a: np.ndarray) -> np.ndarray:
+        """The free-dof block of an n_dof x n_dof matrix, as a view."""
+        return a[6:, 6:]
 
     def static_solve(self, loads: np.ndarray) -> np.ndarray:
         """Linear displacement state under nodal loads; zeros at clamped dofs."""
@@ -344,7 +309,7 @@ class BeamModel:
             raise ValueError(f"load vector must have length {self.n_dof}")
         u = np.zeros(self.n_dof)
         u[self.free] = scipy.linalg.solve(
-            self._free(self.stiffness()), f[self.free], assume_a="pos"
+            self.free_block(self.stiffness()), f[self.free], assume_a="pos"
         )
         return u
 
@@ -358,8 +323,8 @@ class BeamModel:
             raise ValueError("n_modes must be positive")
         n = min(n_modes, self.free.size)
         if n not in self._modes:
-            kff = self._free(self.stiffness())
-            mff = self._free(self.mass())
+            kff = self.free_block(self.stiffness())
+            mff = self.free_block(self.mass())
             w2, vec = scipy.linalg.eigh(kff, mff, subset_by_index=[0, n - 1])
             shapes = np.zeros((self.n_dof, n))
             shapes[self.free, :] = vec
@@ -372,8 +337,8 @@ class BeamModel:
     def buckling(self, loads: np.ndarray, n_modes: int = 8) -> BucklingResult:
         """Linearized buckling factors for the given reference load."""
         u = self.static_solve(loads)
-        kg = self._free(self.geometric_stiffness(u))
-        kff = self._free(self.stiffness())
+        kg = self.free_block(self.geometric_stiffness(u))
+        kff = self.free_block(self.stiffness())
         chol = scipy.linalg.cholesky(kff, lower=True)
         a = scipy.linalg.solve_triangular(chol, -kg, lower=True)
         a = scipy.linalg.solve_triangular(chol, a.T, lower=True)
@@ -403,12 +368,17 @@ def cantilever_model(
     axis=(1.0, 0.0, 0.0),
     point_masses: list[PointMass] = (),
 ) -> BeamModel:
-    """Straight cantilever along `axis`, clamped at the origin node."""
+    """Straight cantilever of one section along `axis`, clamped at the origin node."""
     if n_elements < 1:
         raise ValueError("need at least one element")
     direction = np.asarray(axis, dtype=float)
     direction = direction / np.linalg.norm(direction)
     stations = np.linspace(0.0, length, n_elements + 1)
     nodes = stations[:, None] * direction[None, :]
-    elements = [ElementDef((i, i + 1), section) for i in range(n_elements)]
-    return BeamModel(nodes, elements, fixed_dofs=np.arange(6), point_masses=point_masses)
+    elements = ElementSet(
+        ElementGeometry.build(nodes, [(i, i + 1) for i in range(n_elements)]),
+        section.C[None],
+        section.M[None],
+        np.zeros(n_elements, dtype=int),
+    )
+    return BeamModel(nodes, elements, point_masses=point_masses)

@@ -35,6 +35,7 @@ TORSION_THRESHOLD = 0.15  # relative tip-twist error above which torsion is knoc
 MODAL_MAC_THRESHOLD = 0.95
 AEROELASTIC_MAC_THRESHOLD = 0.9
 N_CHECK = 5  # leading mode pairs whose diagonal MAC must pass
+N_MODAL = 8  # structural modes tabulated and correlated by compare_modal
 
 
 def mac(phi_i: np.ndarray, phi_j: np.ndarray) -> float:
@@ -160,10 +161,10 @@ def _swap_flag(m: np.ndarray) -> bool:
     return False
 
 
-def compare_modal(lf: WingModel, hf: WingModel, n_modes: int = 8) -> ComparisonReport:
-    """Frequency table plus full MAC matrix on the shared node set."""
-    res_lf = lf.beam.modal(n_modes)
-    res_hf = hf.beam.modal(n_modes)
+def compare_modal(lf: WingModel, hf: WingModel) -> ComparisonReport:
+    """Frequency table plus full MAC matrix of N_MODAL modes on the shared node set."""
+    res_lf = lf.beam.modal(N_MODAL)
+    res_hf = hf.beam.modal(N_MODAL)
     i_lf, i_hf = shared_node_dofs(lf, hf)
     m = mac_matrix(res_lf.shapes[i_lf], res_hf.shapes[i_hf])
     k = min(res_lf.omega.size, res_hf.omega.size)

@@ -52,12 +52,6 @@ def config_schema() -> dict:
 class OptimizerSettings:
     budget: int = 100
     max_iter: int = 50
-    delta0: float = 0.1
-    delta_max: float = 1.0
-    delta_min: float = 1.0e-6
-    merit_weight: float = 100.0
-    step_tol: float = 1.0e-9
-    subproblem_tol: float = 1.0e-8
 
     def kwargs(self) -> dict:
         return asdict(self)

@@ -45,9 +45,7 @@ from .fidelity import (
     FidelityConfig,
     WingDefinition,
     WingModel,
-    beam_nodes,
     build_wing_model,
-    wing_lattice,
     wing_structure,
 )
 from .laminate import (
@@ -283,8 +281,8 @@ class WingAnalysis:
         """(flow, aero operators, aileron operators or None) of load case i_lc."""
         if self._aero is None:
             defn = self.definition
-            nodes = beam_nodes(defn, self.fidelity)
-            lattice = wing_lattice(defn, self.fidelity)
+            structure = wing_structure(defn, self.fidelity)
+            nodes, lattice = structure.nodes, structure.lattice
             built = []
             for lc in self.loadcases:
                 flow = lc.flow

@@ -17,15 +17,15 @@ nodes sit on the elastic axis, the chordwise center of the box.
 
 Built once per definition and level (`WingStructure`): bay box geometry,
 the bay -> panel map, the knockdown, nodes, element geometry and assembly
-indices, region map and wall areas.  Built per design (`build_wing_model`):
-one condensed membrane per design panel, then every bay's C and M, the
-element matrices and the assembled K and M as batched array expressions.
+indices, region map, wall areas and the vortex lattice.  Built per design
+(`build_wing_model`): one condensed membrane per design panel, then every
+bay's C and M, the element matrices and the assembled K and M as batched
+array expressions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,13 +36,10 @@ from .beam import BeamModel, ElementGeometry, ElementSet, PointMass
 from .laminate import MaterialProperties, PanelDesign
 from .section import (
     BOX_WALLS,
-    RecoveryStation,
     SectionBatch,
-    SectionProperties,
     box_corners,
     condensed_membrane,
     contour_geometry,
-    panel_arc_length,
     section_batch,
 )
 
@@ -160,8 +157,9 @@ class WingStructure:
     the (n_bays, 4) bay -> panel map in contour order, the per-bay knockdown
     congruence, beam nodes, element geometry and assembly indices, point
     masses, the element -> region map, the wall-area table behind the mass
-    thickness gradient, and the Tsai-Wu stations of every panel.  Built once
-    per definition and level by `wing_structure`; `build` adds a design.
+    thickness gradient, the Tsai-Wu stations of every panel, and the vortex
+    lattice.  Built once per definition and level by `wing_structure`;
+    `build` adds a design.
     """
 
     def __init__(self, defn: WingDefinition, fid: FidelityConfig):
@@ -183,6 +181,7 @@ class WingStructure:
             self.knockdown[bays] = _knockdown(fid.torsion_knockdown)
 
         self.nodes = beam_nodes(defn, fid)
+        self.lattice = wing_lattice(defn, fid)
         n_elem = self.nodes.shape[0] - 1
         self.elements = ElementGeometry.build(self.nodes, [(k, k + 1) for k in range(n_elem)])
         self.element_bay = np.repeat(np.arange(n_bays), fid.mesh_factor)
@@ -194,13 +193,12 @@ class WingStructure:
         edge_pts = np.column_stack([defn.elastic_axis_x(bay_edges), bay_edges])
         self.bay_axis_length = np.linalg.norm(np.diff(edge_pts, axis=0), axis=1)
 
-        # d(mass)/d(panel thickness), closed form: rho * wall area
-        self.thickness_gradient = np.zeros(defn.n_panels)
-        rho = defn.material.rho
-        for b in range(n_bays):
-            arc = panel_arc_length(self.bay_panel[b], self.contour.length[b])
-            for panel, wall_length in arc.items():
-                self.thickness_gradient[panel] += rho * wall_length * self.bay_axis_length[b]
+        # d(mass)/d(panel thickness), closed form: rho * wall area, with each
+        # panel's arc length summed in wall order and its areas in bay order
+        on_panel = self.bay_panel[..., None] == np.arange(defn.n_panels)
+        arc = np.cumsum(np.where(on_panel, self.contour.length[..., None], 0.0), axis=1)[:, -1]
+        area = defn.material.rho * arc * self.bay_axis_length[:, None]
+        self.thickness_gradient = np.cumsum(area, axis=0)[-1]
         station_panel = self.bay_panel[self.element_bay].ravel()
         self.panel_stations = tuple(
             np.flatnonzero(station_panel == p) for p in range(defn.n_panels)
@@ -220,7 +218,6 @@ class WingStructure:
         beam = BeamModel(
             self.nodes,
             ElementSet(self.elements, sec.C, sec.M, self.element_bay),
-            fixed_dofs=np.arange(6),
             point_masses=self.point_masses,
         )
         return WingModel(beam=beam, structure=self, sections=sec)
@@ -258,27 +255,7 @@ class WingModel:
     @property
     def lattice(self) -> Lattice:
         """The fidelity level's vortex lattice; it does not depend on the design."""
-        return wing_lattice(self.definition, self.fidelity)
-
-    @functools.cached_property
-    def bay_sections(self) -> tuple[SectionProperties, ...]:
-        """Per-bay section objects, built on first access for inspection."""
-        st, sec = self.structure, self.sections
-        return tuple(
-            SectionProperties(
-                C=sec.C[b],
-                M=sec.M[b],
-                mu=float(sec.M[b, 0, 0]),
-                enclosed_area=float(st.contour.enclosed_area[b]),
-                recovery=tuple(
-                    RecoveryStation(int(p), sec.strain_map[b, j], sec.membrane[b, j],
-                                    float(sec.thickness[b, j]))
-                    for j, p in enumerate(st.bay_panel[b])
-                ),
-                panel_arc_length=panel_arc_length(st.bay_panel[b], st.contour.length[b]),
-            )
-            for b in range(self.definition.n_bays)
-        )
+        return self.structure.lattice
 
     def structural_mass(self) -> float:
         # running total in bay order
@@ -286,10 +263,6 @@ class WingModel:
 
     def mass_with_fixed(self) -> float:
         return self.structural_mass() + self.definition.fixed_mass
-
-    def mass_thickness_gradient(self) -> np.ndarray:
-        """d(mass)/d(panel thickness), closed form: rho * wall area."""
-        return self.structure.thickness_gradient.copy()
 
     def element_region(self) -> np.ndarray:
         return self.structure.element_region
@@ -300,11 +273,6 @@ def _knockdown(kappa: float) -> np.ndarray:
     d = np.ones(6)
     d[3] = np.sqrt(kappa)
     return np.outer(d, d)
-
-
-def apply_torsion_knockdown(props: SectionProperties, kappa: float) -> SectionProperties:
-    """Scale torsion row and column of C by sqrt(kappa); all else untouched."""
-    return dataclasses.replace(props, C=props.C * _knockdown(kappa))
 
 
 def beam_nodes(defn: WingDefinition, fid: FidelityConfig) -> np.ndarray:

@@ -11,7 +11,7 @@ subproblem.
 
 Merit function: f + weight * max(0, worst violation).  Ratio test with
 eta1 = 0.1 and eta2 = 0.75; the radius halves on rejection, doubles (up to
-delta_max) after strong steps that hit the trust-region boundary.  A failed
+DELTA_MAX) after strong steps that hit the trust-region boundary.  A failed
 or infeasible subproblem falls back to a violation-minimizing restoration
 step, which is flagged in the report.
 
@@ -36,6 +36,9 @@ DELTA_MAX = 1.0
 DELTA_MIN = 1.0e-6
 SHRINK = 0.5
 EXPAND = 2.0
+MERIT_WEIGHT = 100.0  # weight of the worst violation in the merit function
+STEP_TOL = 1.0e-9  # scaled step below which the loop stops
+SUBPROBLEM_TOL = 1.0e-8  # violation a subproblem candidate may keep
 
 CONSISTENCY_TOL_VALUE = 1.0e-12
 CONSISTENCY_TOL_GRAD = 1.0e-10
@@ -307,7 +310,6 @@ def solve_subproblem(
     scale: np.ndarray,
     both: np.ndarray,
     lf_only: np.ndarray,
-    tol: float = 1.0e-8,
 ) -> tuple[np.ndarray, bool]:
     """Minimize the corrected model inside trust region and box.
 
@@ -354,7 +356,7 @@ def solve_subproblem(
             options={"maxiter": 200, "ftol": 1e-10},
         )
         candidate = np.clip(res.x, lo, hi)
-        if violation(candidate) <= tol:
+        if violation(candidate) <= SUBPROBLEM_TOL:
             return candidate, False
         if np.allclose(candidate, z, rtol=0.0, atol=1e-14):
             break
@@ -386,12 +388,6 @@ def trmm_optimize(
     x0,
     budget: int = 100,
     max_iter: int = 50,
-    delta0: float = DELTA_INIT,
-    delta_max: float = DELTA_MAX,
-    delta_min: float = DELTA_MIN,
-    merit_weight: float = 100.0,
-    step_tol: float = 1.0e-9,
-    subproblem_tol: float = 1.0e-8,
 ) -> OptimizerReport:
     """Trust-region model management loop.
 
@@ -435,16 +431,16 @@ def trmm_optimize(
 
     def merit(f, c_hf, c_lf):
         v = max(_violation(_clip(c_hf), acceptance_rows), _violation(_clip(c_lf), lf_only))
-        return f + merit_weight * v, v
+        return f + MERIT_WEIGHT * v, v
 
     m0, v0 = merit(hf_out.f, hf_out.c, lf_out.c)
-    trace = [TraceEntry(x=x0.copy(), f_hf=hf_out.f, violation=v0, delta=delta0,
+    trace = [TraceEntry(x=x0.copy(), f_hf=hf_out.f, violation=v0, delta=DELTA_INIT,
                         rho=np.nan, accepted=True)]
     if budget <= 1:
         return report(x0, hf_out, v0, trace, 0, "budget", 0, nonsmooth)
 
     xc = x0.copy()
-    delta = delta0
+    delta = DELTA_INIT
     restorations = 0
     hf_grad = hf_count.gradients(xc)
     corr = _checked_correction(xc, lf_out, hf_out, lf_cached.gradients(xc), hf_grad)
@@ -459,12 +455,11 @@ def trmm_optimize(
             break
         it += 1
         cand, restored = solve_subproblem(
-            lf_cached, corr, xc, delta, lb, ub, scale, both, lf_only,
-            tol=subproblem_tol,
+            lf_cached, corr, xc, delta, lb, ub, scale, both, lf_only
         )
         restorations += int(restored)
         step = np.max(np.abs(cand - xc) / scale)
-        if step < step_tol and not restored:
+        if step < STEP_TOL and not restored:
             it -= 1
             term = "step_tol"
             break
@@ -477,7 +472,7 @@ def trmm_optimize(
             trace.append(TraceEntry(x=cand, f_hf=np.nan, violation=np.nan,
                                     delta=delta, rho=-np.inf, accepted=False,
                                     restoration=restored))
-            if delta < delta_min:
+            if delta < DELTA_MIN:
                 term = "delta_min"
                 break
             continue
@@ -485,7 +480,7 @@ def trmm_optimize(
         # model merit at the candidate (corrected LF)
         fm = corr.corrected_f(lf_cand.f, cand)
         cm = corr.corrected_c(lf_cand.c, cand)
-        m_model_cand = fm + merit_weight * max(
+        m_model_cand = fm + MERIT_WEIGHT * max(
             _violation(_clip(cm), both), _violation(_clip(lf_cand.c), lf_only)
         )
         predicted = m_center - m_model_cand
@@ -510,7 +505,7 @@ def trmm_optimize(
         if rho < ETA_ACCEPT or grad_failed:
             delta = SHRINK * delta
         elif rho > ETA_EXPAND and on_boundary:
-            delta = min(EXPAND * delta, delta_max)
+            delta = min(EXPAND * delta, DELTA_MAX)
         trace.append(TraceEntry(x=cand, f_hf=hf_cand.f, violation=v_cand,
                                 delta=delta, rho=float(rho), accepted=accept,
                                 restoration=restored))
@@ -518,7 +513,7 @@ def trmm_optimize(
             corr = _checked_correction(
                 xc, lf_center, hf_center, lf_cached.gradients(xc), hf_grad
             )
-        if delta < delta_min:
+        if delta < DELTA_MIN:
             term = "delta_min"
             break
 

@@ -29,7 +29,7 @@ density.  `CrossSection.build` runs both on a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,17 +59,6 @@ def condensed_membrane(design: PanelDesign, material: MaterialProperties) -> np.
     )
 
 
-@dataclass(frozen=True)
-class WallSegment:
-    """Straight midline wall from p1 to p2 in section (y, z) coordinates."""
-
-    p1: tuple[float, float]
-    p2: tuple[float, float]
-    design: PanelDesign
-    material: MaterialProperties
-    panel_index: int = -1
-
-
 def wall_stresses(strain_map, membrane, thickness, section_strains) -> np.ndarray:
     """Smeared wall stresses (sigma_xx, sigma_ss, tau_xs) in Pa, shape (..., 3).
 
@@ -87,37 +76,16 @@ def wall_stresses(strain_map, membrane, thickness, section_strains) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class RecoveryStation:
-    """Midpoint stress recovery data for one wall segment.
-
-    `strain_map` turns the six section strains into the wall strain pair
-    (eps_xx, gam_xs); `membrane` turns that pair into force resultants.
-    """
-
-    panel_index: int
-    strain_map: np.ndarray
-    membrane: np.ndarray
-    thickness: float
-
-    def wall_stresses(self, section_strains: np.ndarray) -> np.ndarray:
-        """Smeared wall stresses (sigma_xx, sigma_ss, tau_xs) in Pa."""
-        return wall_stresses(self.strain_map, self.membrane, self.thickness, section_strains)
-
-
-@dataclass(frozen=True)
 class SectionProperties:
     """Homogenized beam properties of one cross section.
 
     C is the 6x6 stiffness, M the 6x6 inertia per unit length (translations
-    then rotations about the reference point), mu the mass per unit length.
+    then rotations about the reference point); M[0, 0] is the mass per unit
+    length.
     """
 
     C: np.ndarray
     M: np.ndarray
-    mu: float
-    enclosed_area: float
-    recovery: tuple[RecoveryStation, ...]
-    panel_arc_length: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -242,42 +210,25 @@ def section_batch(geom: ContourGeometry, membrane, thickness, rho) -> SectionBat
 
 
 class CrossSection:
-    """Single-cell thin-walled section defined by a closed segment chain."""
+    """Single-cell thin-walled section: one closed chain of straight walls.
 
-    def __init__(self, segments: tuple[WallSegment, ...] | list[WallSegment]):
-        self.segments = tuple(segments)
+    p1 and p2 (walls, 2) are the walls' midline endpoints in section (y, z)
+    coordinates, chained end to start and counter-clockwise; designs holds
+    one laminate per wall, all of one material.
+    """
+
+    def __init__(self, p1, p2, designs, material: MaterialProperties):
         self.geometry = contour_geometry(
-            [[s.p1 for s in self.segments]], [[s.p2 for s in self.segments]]
+            np.asarray(p1, dtype=float)[None], np.asarray(p2, dtype=float)[None]
         )
-        self.enclosed_area = float(self.geometry.enclosed_area[0])
+        self.designs = tuple(designs)
+        self.material = material
 
-    def build(self) -> SectionProperties:
-        segs = self.segments
-        membrane = np.array([condensed_membrane(s.design, s.material) for s in segs])
-        thickness = np.array([s.design.thickness for s in segs])
-        rho = np.array([s.material.rho for s in segs])
-        sec = section_batch(self.geometry, membrane[None], thickness[None], rho[None])
-        panels = [s.panel_index for s in segs]
-        return SectionProperties(
-            C=sec.C[0],
-            M=sec.M[0],
-            mu=float(sec.M[0, 0, 0]),
-            enclosed_area=self.enclosed_area,
-            recovery=tuple(
-                RecoveryStation(p, sec.strain_map[0, j], membrane[j], thickness[j])
-                for j, p in enumerate(panels)
-            ),
-            panel_arc_length=panel_arc_length(panels, self.geometry.length[0]),
-        )
-
-
-def panel_arc_length(panel_index, length) -> dict[int, float]:
-    """Contour length per design panel, summed in wall order; index -1 is no panel."""
-    arc: dict[int, float] = {}
-    for p, l in zip(panel_index, length):
-        if p >= 0:
-            arc[int(p)] = arc.get(int(p), 0.0) + l
-    return arc
+    def build(self) -> SectionBatch:
+        """The section as a stack of one, recovery maps included."""
+        membrane = np.array([condensed_membrane(d, self.material) for d in self.designs])
+        thickness = np.array([d.thickness for d in self.designs], dtype=float)
+        return section_batch(self.geometry, membrane[None], thickness[None], self.material.rho)
 
 
 def _strain_map(y, z, tx, ty, gt) -> np.ndarray:
@@ -332,7 +283,6 @@ def box_section(
     height: float,
     walls: dict[str, PanelDesign],
     material: MaterialProperties,
-    panel_indices: dict[str, int] | None = None,
 ) -> CrossSection:
     """Rectangular single-cell box with walls `upper`, `lower`, `front`, `rear`.
 
@@ -344,14 +294,8 @@ def box_section(
     missing = {"upper", "lower", "front", "rear"} - set(walls)
     if missing:
         raise ValueError(f"missing wall designs: {sorted(missing)}")
-    idx = panel_indices or {}
     p1, p2 = box_corners(width, height)
-    return CrossSection(
-        [
-            WallSegment(tuple(p1[j]), tuple(p2[j]), walls[name], material, idx.get(name, -1))
-            for j, name in enumerate(BOX_WALLS)
-        ]
-    )
+    return CrossSection(p1, p2, [walls[name] for name in BOX_WALLS], material)
 
 
 def prescribed_section(
@@ -367,15 +311,8 @@ def prescribed_section(
     """Diagonal section from handbook constants, for verification models.
 
     Rotary inertia splits the polar value evenly between the two bending
-    axes; there is no recovery data.
+    axes.
     """
     c = np.diag([EA, GA2, GA3, GJ, EI2, EI3]).astype(float)
     m = np.diag([mu, mu, mu, i_polar, 0.5 * i_polar, 0.5 * i_polar]).astype(float)
-    return SectionProperties(
-        C=c,
-        M=m,
-        mu=mu,
-        enclosed_area=0.0,
-        recovery=(),
-        panel_arc_length={},
-    )
+    return SectionProperties(C=c, M=m)

@@ -7,8 +7,10 @@ import pytest
 import scipy.linalg
 
 import aerotail
+from aerotail import aeroelastic
 from aerotail.aero import FlowConditions, Planform, aero_operators, build_lattice
 from aerotail.aeroelastic import (
+    FLUTTER_TOL,
     N_MODES,
     N_STABILITY,
     AileronDef,
@@ -20,7 +22,7 @@ from aerotail.aeroelastic import (
     rayleigh_damping,
     static_aeroelastic,
 )
-from aerotail.beam import BeamModel, ElementDef
+from aerotail.beam import BeamModel, ElementGeometry, ElementSet
 from aerotail.compare import mac
 from aerotail.config import load_config
 from aerotail.constraints import pack_design
@@ -42,18 +44,14 @@ def wing_beam(n_elem=8, gj=4.0e4, ei2=2.0e5, mu=18.0, ip=0.8, cg_aft=0.0):
         m[3, 3] += ip
         m[4, 4] += 0.5 * ip
         m[5, 5] += 0.5 * ip
-        sec = SectionProperties(
-            C=np.diag([1e9, 1e8, 1e8, gj, ei2, 4e6]).astype(float),
-            M=m,
-            mu=mu,
-            enclosed_area=0.0,
-            recovery=(),
-            panel_arc_length={},
-        )
+        sec = SectionProperties(C=np.diag([1e9, 1e8, 1e8, gj, ei2, 4e6]).astype(float), M=m)
     y = np.linspace(0.0, SPAN, n_elem + 1)
     nodes = np.column_stack([np.full(y.size, X_EA), y, np.zeros(y.size)])
-    elems = [ElementDef((i, i + 1), sec) for i in range(n_elem)]
-    return BeamModel(nodes, elems, fixed_dofs=np.arange(6))
+    elems = ElementSet(
+        ElementGeometry.build(nodes, [(i, i + 1) for i in range(n_elem)]),
+        sec.C[None], sec.M[None], np.zeros(n_elem, dtype=int),
+    )
+    return BeamModel(nodes, elems)
 
 
 def wing_lattice(nx=2, ny=12):
@@ -158,7 +156,7 @@ class TestDynamic:
         def flow_of_v(v):
             return FlowConditions(V=v, rho=1.2)
 
-        vc = critical_speed(model, lat, flow_of_v, 5.0, 120.0, tol=1e-5)
+        vc = critical_speed(model, lat, flow_of_v, 5.0, 120.0)
         below = dynamic_stability(
             model, aero_operators(lat, flow_of_v(0.99 * vc), model.nodes)
         ).max_real
@@ -223,13 +221,14 @@ class TestStabilityMargin:
         model = flutter_wing()
         lat = wing_lattice()
         flow_of_v = self.FLOWS[flow]
-        vc = critical_speed(model, lat, flow_of_v, 5.0, 120.0, tol=1e-5)
-        assert vc == reference_critical_speed(model, lat, flow_of_v, 5.0, 120.0, 1e-5)
+        vc = critical_speed(model, lat, flow_of_v, 5.0, 120.0)
+        assert vc == reference_critical_speed(model, lat, flow_of_v, 5.0, 120.0, FLUTTER_TOL)
 
-    def test_critical_speed_raises_when_iterations_run_out(self):
+    def test_critical_speed_raises_when_iterations_run_out(self, monkeypatch):
         flow_of_v = self.FLOWS["mach0"]
+        monkeypatch.setattr(aeroelastic, "FLUTTER_MAX_ITER", 3)
         with pytest.raises(RuntimeError, match="max_iter=3"):
-            critical_speed(flutter_wing(), wing_lattice(), flow_of_v, 5.0, 120.0, max_iter=3)
+            critical_speed(flutter_wing(), wing_lattice(), flow_of_v, 5.0, 120.0)
 
 
 DATA = os.path.join(os.path.dirname(aerotail.__file__), "data")

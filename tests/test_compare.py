@@ -6,6 +6,7 @@ import pytest
 from aerotail.aero import FlowConditions, Planform
 from aerotail.aeroelastic import AileronDef
 from aerotail.compare import (
+    N_MODAL,
     compare_aeroelastic,
     compare_modal,
     compare_static,
@@ -198,7 +199,7 @@ class TestCompareStatic:
 
 class TestCompareModal:
     def test_identical_models_give_identity_mac(self):
-        rep = compare_modal(build(mesh=2), build(mesh=2), n_modes=6)
+        rep = compare_modal(build(mesh=2), build(mesh=2))
         assert rep.case == 2
         assert np.allclose(np.diag(rep.mac), 1.0, atol=1e-12)
         assert rep.flags["matched_modes"]
@@ -207,8 +208,8 @@ class TestCompareModal:
             assert err == pytest.approx(0.0, abs=1e-12), key
 
     def test_matched_physics_across_meshes(self):
-        rep = compare_modal(build(mesh=1), build(mesh=2), n_modes=8)
-        assert rep.mac.shape == (8, 8)
+        rep = compare_modal(build(mesh=1), build(mesh=2))
+        assert rep.mac.shape == (N_MODAL, N_MODAL)
         assert np.all(np.diag(rep.mac)[:5] > 0.95)
         assert rep.flags["matched_modes"]
         # three coarse elements leave visible mass-discretization error
@@ -216,10 +217,10 @@ class TestCompareModal:
             assert rep.relative_errors[f"omega_{i + 1}"] < 0.15
 
     def test_frequency_tables_present(self):
-        rep = compare_modal(build(mesh=1), build(mesh=2), n_modes=4)
-        assert rep.eigenvalue_tables["lf_omega"].size == 4
-        assert rep.eigenvalue_tables["hf_omega"].size == 4
-        assert set(rep.lf_values) == {f"omega_{i}" for i in (1, 2, 3, 4)}
+        rep = compare_modal(build(mesh=1), build(mesh=2))
+        assert rep.eigenvalue_tables["lf_omega"].size == N_MODAL
+        assert rep.eigenvalue_tables["hf_omega"].size == N_MODAL
+        assert set(rep.lf_values) == {f"omega_{i}" for i in range(1, N_MODAL + 1)}
 
 
 class TestCompareAeroelastic:

@@ -1,5 +1,7 @@
 """Config loading: schema validation, domain rules, and unit conventions."""
 
+import dataclasses
+import inspect
 import json
 import os
 
@@ -9,6 +11,7 @@ import pytest
 import aerotail
 from aerotail.config import ConfigError, OptimizerSettings, config_schema, load_config
 from aerotail.laminate import lp_from_stack
+from aerotail.mfopt import trmm_optimize
 
 DATA_DIR = os.path.join(os.path.dirname(aerotail.__file__), "data")
 TOY = os.path.join(DATA_DIR, "toy_two_panel.json")
@@ -95,14 +98,13 @@ class TestConventions:
         assert cfg.optimizer == OptimizerSettings()
 
     def test_optimizer_kwargs_match_fields(self):
-        settings = OptimizerSettings(budget=7, delta0=0.3)
+        settings = OptimizerSettings(budget=7)
         kw = settings.kwargs()
         assert kw["budget"] == 7
-        assert kw["delta0"] == 0.3
-        assert set(kw) == {
-            "budget", "max_iter", "delta0", "delta_max", "delta_min",
-            "merit_weight", "step_tol", "subproblem_tol",
-        }
+        schema_keys = set(config_schema()["properties"]["optimizer"]["properties"])
+        fields = {f.name for f in dataclasses.fields(OptimizerSettings)}
+        params = set(inspect.signature(trmm_optimize).parameters) - {"lf", "hf", "x0"}
+        assert set(kw) == schema_keys == fields == params
 
     def test_missing_output_directory_defaults_to_cwd(self, write_config):
         doc = toy_doc()
@@ -138,6 +140,15 @@ class TestRejection:
         doc = toy_doc()
         doc["optimizer"]["learning_rate"] = 0.1
         with pytest.raises(ConfigError, match="schema violation"):
+            load_config(write_config(doc))
+
+    @pytest.mark.parametrize(
+        "key", ["delta0", "delta_max", "delta_min", "merit_weight", "step_tol", "subproblem_tol"]
+    )
+    def test_fixed_optimizer_constant_rejected(self, write_config, key):
+        doc = toy_doc()
+        doc["optimizer"][key] = 0.5
+        with pytest.raises(ConfigError, match="schema violation at optimizer"):
             load_config(write_config(doc))
 
     def test_panel_needs_exactly_one_design_form(self, write_config):

@@ -8,21 +8,15 @@ import pytest
 import aerotail
 from aerotail.aero import Planform
 from aerotail.aeroelastic import AileronDef
-from aerotail.beam import (
-    BeamModel,
-    ElementDef,
-    PointMass,
-    element_frame,
-    element_stiffness_local,
-)
+from aerotail.beam import PointMass, cantilever_model, element_frame
 from aerotail.config import load_config
-from aerotail.constraints import N_TSAI_WU, pack_design, unpack_design
+from aerotail.constraints import N_TSAI_WU, LoadCase, pack_design, unpack_design
 from aerotail.fidelity import (
     FidelityConfig,
     WingDefinition,
-    apply_torsion_knockdown,
     beam_nodes,
     build_wing_model,
+    make_lf,
 )
 from aerotail.laminate import (
     MaterialProperties,
@@ -34,9 +28,11 @@ from aerotail.laminate import (
 from aerotail.section import (
     _GAUSS_W,
     _GAUSS_XI,
+    BOX_WALLS,
+    SectionProperties,
     _inertia_map,
-    box_section,
     condensed_membrane,
+    wall_stresses,
 )
 
 CFRP = MaterialProperties(
@@ -130,21 +126,23 @@ class TestGeometry:
     def test_sections_taper_with_chord(self):
         defn = small_definition()
         model = build_wing_model(defn, small_panels(), FidelityConfig())
-        ea = [props.C[0, 0] for props in model.bay_sections]
+        ea = model.sections.C[:, 0, 0]
         assert ea[0] > ea[1] > ea[2]
 
 
 class TestKnockdown:
     def test_congruence_preserves_bending_rows_bitwise(self):
         defn = small_definition()
-        base = build_wing_model(defn, small_panels(), FidelityConfig()).bay_sections[0]
-        knocked = apply_torsion_knockdown(base, 0.76)
+        base = build_wing_model(defn, small_panels(), FidelityConfig()).sections.C[0]
+        knocked = build_wing_model(
+            defn, small_panels(), FidelityConfig(torsion_knockdown=0.76)
+        ).sections.C[0]
         keep = [0, 1, 2, 4, 5]
-        assert np.array_equal(base.C[np.ix_(keep, keep)], knocked.C[np.ix_(keep, keep)])
-        assert np.isclose(knocked.C[3, 3], 0.76 * base.C[3, 3], rtol=1e-15)
+        assert np.array_equal(base[np.ix_(keep, keep)], knocked[np.ix_(keep, keep)])
+        assert np.isclose(knocked[3, 3], 0.76 * base[3, 3], rtol=1e-15)
         # symmetry and positive definiteness survive the congruence
-        assert np.array_equal(knocked.C, knocked.C.T)
-        assert np.all(np.linalg.eigvalsh(knocked.C) > 0)
+        assert np.array_equal(knocked, knocked.T)
+        assert np.all(np.linalg.eigvalsh(knocked) > 0)
 
     def test_tip_twist_error_equals_knockdown_deficit(self):
         # untapered wing: elastic axis along y, so global ry torque is pure torsion
@@ -221,9 +219,9 @@ class TestKnockdown:
             FidelityConfig(torsion_knockdown=0.7, knockdown_bays=(0,)),
         )
         full = build_wing_model(defn, small_panels(), FidelityConfig())
-        assert part.bay_sections[0].C[3, 3] < full.bay_sections[0].C[3, 3]
-        assert np.array_equal(part.bay_sections[1].C, full.bay_sections[1].C)
-        assert np.array_equal(part.bay_sections[2].C, full.bay_sections[2].C)
+        assert part.sections.C[0, 3, 3] < full.sections.C[0, 3, 3]
+        assert np.array_equal(part.sections.C[1], full.sections.C[1])
+        assert np.array_equal(part.sections.C[2], full.sections.C[2])
 
 
 class TestRefinement:
@@ -284,7 +282,7 @@ class TestMass:
         defn = small_definition()
         grad = build_wing_model(
             defn, small_panels(), FidelityConfig()
-        ).mass_thickness_gradient()
+        ).structure.thickness_gradient
         h = 1e-6
         for p in range(2):
             panels_p = small_panels()
@@ -309,6 +307,16 @@ class TestMatchedPhysics:
         w_lf = lf.beam.modal(5).omega
         w_hf = hf.beam.modal(5).omega
         assert np.max(np.abs(w_lf - w_hf) / w_lf) < 1e-10
+
+    def test_designs_at_one_level_share_the_lattice(self):
+        cfg = FidelityConfig(mesh_factor=2, lattice_ny=8)
+        analysis = make_lf(small_definition(), [LoadCase(V=40.0, rho=1.225)], cfg)
+        thicker = [PanelDesign(p.lp, 1.2 * p.thickness) for p in small_panels()]
+        a = analysis.build_model(pack_design(small_panels()))
+        b = analysis.build_model(pack_design(thicker))
+        assert a.lattice is b.lattice
+        _, _, aileron = analysis.operators(0)
+        assert aileron.lattice is a.lattice
 
 
 class TestValidation:
@@ -384,48 +392,36 @@ def seeded_design(cfg, seed):
     ])
 
 
-def per_bay_reference(analysis, x):
-    """Bay sections one box at a time, checked wall by wall, and the beam from
-    an ElementDef list."""
-    defn, fid = analysis.definition, analysis.fidelity
-    panels = unpack_design(x, defn.n_panels)
+def bay_walls(defn, b):
+    """Wall endpoints and design panels of bay b's box, counter-clockwise from the lower skin."""
     edges = np.linspace(0.0, defn.planform.semi_span, defn.n_bays + 1)
     f0, f1 = defn.box_chord_frac
+    chord = float(defn.planform.chord(0.5 * (edges[b] + edges[b + 1])))
+    w2 = 0.5 * ((f1 - f0) * chord)
+    h2 = 0.5 * (defn.box_height_frac * chord)
+    corners = [np.array(c) for c in ((-w2, -h2), (w2, -h2), (w2, h2), (-w2, h2))]
+    wall_map = defn.wall_panels[defn.bay_zone(b)]
+    return corners, corners[1:] + corners[:1], [wall_map[w] for w in BOX_WALLS]
+
+
+def per_bay_sections(analysis, panels):
+    """Every bay's section one box at a time, wall by wall, with its knockdown."""
+    defn, fid = analysis.definition, analysis.fidelity
     flagged = range(defn.n_bays) if fid.knockdown_bays is None else fid.knockdown_bays
+    d = np.ones(6)
+    d[3] = np.sqrt(fid.torsion_knockdown)
     sections = []
     for b in range(defn.n_bays):
-        chord = float(defn.planform.chord(0.5 * (edges[b] + edges[b + 1])))
-        wall_map = defn.wall_panels[defn.bay_zone(b)]
-        box = box_section(
-            width=(f1 - f0) * chord,
-            height=defn.box_height_frac * chord,
-            walls={name: panels[p] for name, p in wall_map.items()},
-            material=defn.material,
-            panel_indices=dict(wall_map),
-        )
-        props = box.build()
-        c, m = per_segment_section(box)
-        assert np.array_equal(props.C, c) and np.array_equal(props.M, m)
+        p1, p2, wall_panel = bay_walls(defn, b)
+        c, m = per_segment_section(p1, p2, [panels[p] for p in wall_panel], defn.material)
         if fid.torsion_knockdown < 1.0 and b in flagged:
-            props = apply_torsion_knockdown(props, fid.torsion_knockdown)
-        sections.append(props)
-    nodes = beam_nodes(defn, fid)
-    n_elem = nodes.shape[0] - 1
-    bay = np.repeat(np.arange(defn.n_bays), fid.mesh_factor)
-    beam = BeamModel(
-        nodes,
-        [ElementDef((k, k + 1), sections[bay[k]]) for k in range(n_elem)],
-        fixed_dofs=np.arange(6),
-        point_masses=[PointMass(int(round(f * n_elem)), m) for f, m in fid.extra_masses],
-    )
-    return sections, beam, bay
+            c = c * np.outer(d, d)  # congruence D C D, D = diag(1, 1, 1, sqrt(kappa), 1, 1)
+        sections.append(SectionProperties(C=c, M=m))
+    return sections
 
 
-def per_segment_section(cross_section):
+def per_segment_section(p1, p2, designs, material):
     """C and M of one box, wall by wall and Gauss point by Gauss point."""
-    segs = cross_section.segments
-    p1 = [np.array(s.p1, dtype=float) for s in segs]
-    p2 = [np.array(s.p2, dtype=float) for s in segs]
     lengths = [float(np.hypot(b[0] - a[0], b[1] - a[1])) for a, b in zip(p1, p2)]
     total = sum(lengths)
     ref = np.array([
@@ -433,14 +429,14 @@ def per_segment_section(cross_section):
         for k in (0, 1)
     ])
     area = 0.5 * sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(p1, p2))
-    ah = [condensed_membrane(s.design, s.material) for s in segs]
+    ah = [condensed_membrane(design, material) for design in designs]
     q1 = 2.0 * area / sum(length / a[1, 1] for length, a in zip(lengths, ah))
     c = np.zeros((6, 6))
     m = np.zeros((6, 6))
-    for seg, a, b, length, mem in zip(segs, p1, p2, lengths, ah):
+    for design, a, b, length, mem in zip(designs, p1, p2, lengths, ah):
         tangent = (b - a) / np.linalg.norm(b - a)
         gt = q1 / mem[1, 1]
-        rho_t = seg.material.rho * seg.design.thickness
+        rho_t = material.rho * design.thickness
         for xi, w in zip(_GAUSS_XI, _GAUSS_W):
             y, z = (1.0 - xi) * (a - ref) + xi * (b - ref)
             bmap = np.array([[1.0, 0.0, 0.0, 0.0, z, -y], [0.0, *tangent, gt, 0.0, 0.0]])
@@ -449,24 +445,47 @@ def per_segment_section(cross_section):
     return 0.5 * (c + c.T), 0.5 * (m + m.T)
 
 
-def per_element_assembly(beam, sections, bay):
-    """Global K and M summed element by element in element order."""
-    k = np.zeros((beam.n_dof, beam.n_dof))
-    m = np.zeros((beam.n_dof, beam.n_dof))
+def per_bay_thickness_gradient(defn, bay_axis_length):
+    """rho times every panel's wall area, walls summed in contour order, bays in span order."""
+    grad = np.zeros(defn.n_panels)
+    for b in range(defn.n_bays):
+        p1, p2, wall_panel = bay_walls(defn, b)
+        arc = {}
+        for a, c, p in zip(p1, p2, wall_panel):
+            arc[p] = arc.get(p, 0.0) + float(np.hypot(c[0] - a[0], c[1] - a[1]))
+        for p, length in arc.items():
+            grad[p] += defn.material.rho * length * bay_axis_length[b]
+    return grad
+
+
+def element_transform(n1, n2):
+    q = np.zeros((12, 12))
+    for blk in range(4):
+        q[3 * blk : 3 * blk + 3, 3 * blk : 3 * blk + 3] = element_frame(n1, n2).T
+    return q
+
+
+def per_element_assembly(nodes, sections, bay, point_masses):
+    """Global K and M summed element by element in element order.
+
+    An element along x has the identity frame, so a one-element cantilever
+    along x carries the element's local stiffness as its assembled K.
+    """
+    n_dof = 6 * nodes.shape[0]
+    k = np.zeros((n_dof, n_dof))
+    m = np.zeros((n_dof, n_dof))
     for e, b in enumerate(bay):
-        n1, n2 = beam.nodes[e], beam.nodes[e + 1]
+        n1, n2 = nodes[e], nodes[e + 1]
         length = float(np.linalg.norm(n2 - n1))
-        k_loc, _ = element_stiffness_local(sections[b].C, length)
+        k_loc = cantilever_model(sections[b], length, 1).stiffness()
         m_loc = np.empty((12, 12))
         m_loc[:6, :6] = m_loc[6:, 6:] = (length / 3.0) * sections[b].M
         m_loc[:6, 6:] = m_loc[6:, :6] = (length / 6.0) * sections[b].M
-        q = np.zeros((12, 12))
-        for blk in range(4):
-            q[3 * blk : 3 * blk + 3, 3 * blk : 3 * blk + 3] = element_frame(n1, n2).T
+        q = element_transform(n1, n2)
         ix = np.ix_(np.arange(6 * e, 6 * e + 12), np.arange(6 * e, 6 * e + 12))
         k[ix] += q.T @ k_loc @ q
         m[ix] += q.T @ m_loc @ q
-    for pm in beam.point_masses:
+    for pm in point_masses:
         base = 6 * pm.node
         m[base : base + 3, base : base + 3] += pm.mass * np.eye(3)
         m[base + 3 : base + 6, base + 3 : base + 6] += np.diag(pm.inertia)
@@ -479,13 +498,8 @@ def per_element_mid_strains(nodes, sections, bay, u):
     for k, b in enumerate(bay):
         c = sections[b].C
         length = float(np.linalg.norm(nodes[k + 1] - nodes[k]))
-        _, k22 = element_stiffness_local(c, length)
-        q = np.zeros((12, 12))
-        for blk in range(4):
-            q[3 * blk : 3 * blk + 3, 3 * blk : 3 * blk + 3] = element_frame(
-                nodes[k], nodes[k + 1]
-            ).T
-        u_loc = q @ u[6 * k : 6 * k + 12]
+        k22 = cantilever_model(sections[b], length, 1).stiffness()[6:, 6:]
+        u_loc = element_transform(nodes[k], nodes[k + 1]) @ u[6 * k : 6 * k + 12]
         r = np.eye(6)
         r[:3, 3:] = -length * J_LEVER
         p2 = k22 @ (u_loc[6:] - r @ u_loc[:6])
@@ -496,43 +510,46 @@ def per_element_mid_strains(nodes, sections, bay, u):
 
 
 class TestBatchedAssembly:
-    """The batched design-to-matrices pass equals the per-bay, per-element path bit for bit."""
+    """The batched design-to-matrices pass equals loops over bays, walls and elements bit for bit."""
 
     @pytest.mark.parametrize("level", ["LF", "HF"])
     @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
     def test_matches_per_bay_reference(self, name, level):
         cfg = load_config(os.path.join(DATA, name))
         analysis = cfg.analyses()[level == "HF"]
-        defn = analysis.definition
+        defn, fid = analysis.definition, analysis.fidelity
+        nodes = beam_nodes(defn, fid)
+        n_elem = nodes.shape[0] - 1
+        bay = np.repeat(np.arange(defn.n_bays), fid.mesh_factor)
+        masses = [PointMass(int(round(f * n_elem)), m) for f, m in fid.extra_masses]
         for x in (cfg.initial_design(), seeded_design(cfg, 1), seeded_design(cfg, 2)):
             model = analysis.build_model(x)
-            sections, ref, bay = per_bay_reference(analysis, x)
-            for got, want in zip(model.bay_sections, sections, strict=True):
-                assert np.array_equal(got.C, want.C)
-                assert np.array_equal(got.M, want.M)
-            assert np.array_equal(model.beam.stiffness(), ref.stiffness())
-            assert np.array_equal(model.beam.mass(), ref.mass())
-            k, m = per_element_assembly(ref, sections, bay)
+            sections = per_bay_sections(analysis, unpack_design(x, defn.n_panels))
+            for b, want in enumerate(sections):
+                assert np.array_equal(model.sections.C[b], want.C)
+                assert np.array_equal(model.sections.M[b], want.M)
+            k, m = per_element_assembly(nodes, sections, bay, masses)
             assert np.array_equal(model.beam.stiffness(), k)
             assert np.array_equal(model.beam.mass(), m)
             assert model.structural_mass() == sum(
-                length * p.mu for length, p in zip(model.bay_axis_length, sections)
+                length * s.M[0, 0] for length, s in zip(model.bay_axis_length, sections)
             )
+            grad = per_bay_thickness_gradient(defn, model.bay_axis_length)
+            assert np.array_equal(analysis.mass_gradient(x)[8::9], grad)
 
             res, _ = analysis.trim(model, 0)
             strains = model.beam.element_mid_strains(res.u)
-            assert np.array_equal(strains, ref.element_mid_strains(res.u))
-            assert np.array_equal(
-                strains, per_element_mid_strains(ref.nodes, sections, bay, res.u)
-            )
+            assert np.array_equal(strains, per_element_mid_strains(nodes, sections, bay, res.u))
 
+            sec = model.sections
             per_panel = [[] for _ in range(defn.n_panels)]
             for k, b in enumerate(bay):
-                for st in sections[b].recovery:
-                    s = st.wall_stresses(strains[k])
-                    per_panel[st.panel_index].append(
-                        tsai_wu_factor((s[0], s[1], s[2]), defn.material) - 1.0
+                _, _, wall_panel = bay_walls(defn, b)
+                for j, p in enumerate(wall_panel):
+                    s = wall_stresses(
+                        sec.strain_map[b, j], sec.membrane[b, j], sec.thickness[b, j], strains[k]
                     )
+                    per_panel[p].append(tsai_wu_factor((s[0], s[1], s[2]), defn.material) - 1.0)
             tw = np.concatenate([pad_critical(v, N_TSAI_WU) for v in per_panel])
             out = analysis.evaluate(x)
             assert np.array_equal(out.c[analysis.layout.rows(0, "tw")], tw)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from aerotail.laminate import LaminationParameters, MaterialProperties, PanelDesign, lp_from_stack
-from aerotail.section import CrossSection, WallSegment, box_section, prescribed_section
+from aerotail.section import (
+    BOX_WALLS,
+    CrossSection,
+    box_section,
+    prescribed_section,
+    wall_stresses,
+)
 
 E_ISO = 71.0e9
 NU_ISO = 0.33
@@ -49,14 +55,15 @@ class TestIsotropicBox:
     W, H, T = 0.9, 0.24, 4e-3
 
     def props(self):
-        return iso_box(self.W, self.H, self.T).build()
+        sec = iso_box(self.W, self.H, self.T).build()
+        return sec.C[0], sec.M[0]
 
     def test_axial(self):
         per = 2 * (self.W + self.H)
-        assert self.props().C[0, 0] == pytest.approx(E_ISO * self.T * per, rel=1e-9)
+        assert self.props()[0][0, 0] == pytest.approx(E_ISO * self.T * per, rel=1e-9)
 
     def test_bending(self):
-        c = self.props().C
+        c, _ = self.props()
         ei2 = E_ISO * self.T * (self.W * self.H**2 / 2 + self.H**3 / 6)
         ei3 = E_ISO * self.T * (self.H * self.W**2 / 2 + self.W**3 / 6)
         assert c[4, 4] == pytest.approx(ei2, rel=1e-9)
@@ -65,31 +72,32 @@ class TestIsotropicBox:
     def test_torsion_bredt(self):
         area = self.W * self.H
         gj = 4.0 * area**2 * G_ISO * self.T / (2 * (self.W + self.H))
-        assert self.props().C[3, 3] == pytest.approx(gj, rel=1e-9)
+        assert self.props()[0][3, 3] == pytest.approx(gj, rel=1e-9)
 
     def test_shear(self):
-        c = self.props().C
+        c, _ = self.props()
         assert c[1, 1] == pytest.approx(2 * G_ISO * self.T * self.W, rel=1e-9)
         assert c[2, 2] == pytest.approx(2 * G_ISO * self.T * self.H, rel=1e-9)
 
     def test_no_coupling(self):
-        c = self.props().C
+        c, _ = self.props()
         off = c - np.diag(np.diag(c))
         assert np.abs(off).max() < 1e-6 * np.abs(np.diag(c)).min()
 
     def test_mass(self):
-        p = self.props()
+        _, m = self.props()
         per = 2 * (self.W + self.H)
-        assert p.mu == pytest.approx(ISO.rho * self.T * per, rel=1e-12)
+        assert m[0, 0] == pytest.approx(ISO.rho * self.T * per, rel=1e-12)
         i22 = ISO.rho * self.T * (self.W * self.H**2 / 2 + self.H**3 / 6)
         i33 = ISO.rho * self.T * (self.H * self.W**2 / 2 + self.W**3 / 6)
-        assert p.M[4, 4] == pytest.approx(i22, rel=1e-9)
-        assert p.M[5, 5] == pytest.approx(i33, rel=1e-9)
-        assert p.M[3, 3] == pytest.approx(i22 + i33, rel=1e-9)
+        assert m[4, 4] == pytest.approx(i22, rel=1e-9)
+        assert m[5, 5] == pytest.approx(i33, rel=1e-9)
+        assert m[3, 3] == pytest.approx(i22 + i33, rel=1e-9)
 
     def test_spd(self):
-        assert np.all(np.linalg.eigvalsh(self.props().C) > 0)
-        assert np.all(np.linalg.eigvalsh(self.props().M) > 0)
+        c, m = self.props()
+        assert np.all(np.linalg.eigvalsh(c) > 0)
+        assert np.all(np.linalg.eigvalsh(m) > 0)
 
 
 class TestAnisotropy:
@@ -100,7 +108,7 @@ class TestAnisotropy:
         sec = box_section(
             0.8, 0.2, {"upper": plus, "lower": minus, "front": spar, "rear": spar}, CFRP
         )
-        c = sec.build().C
+        c = sec.build().C[0]
         assert abs(c[3, 4]) > 1e-3 * np.sqrt(c[3, 3] * c[4, 4])
         assert np.all(np.linalg.eigvalsh(c) > 0)
 
@@ -110,62 +118,59 @@ class TestAnisotropy:
         sec = box_section(
             0.8, 0.2, {"upper": same, "lower": same, "front": spar, "rear": spar}, CFRP
         )
-        c = sec.build().C
+        c = sec.build().C[0]
         assert abs(c[3, 4]) < 1e-9 * np.sqrt(c[3, 3] * c[4, 4])
+
+
+def wall_recovery(sec, section_strains):
+    """Midpoint stresses (walls, 3) of a stack-of-one section under section strains."""
+    return wall_stresses(sec.strain_map[0], sec.membrane[0], sec.thickness[0], section_strains)
 
 
 class TestRecovery:
     def test_axial_strain_stress(self):
         p = iso_box(0.6, 0.2, 2e-3).build()
         eps = 1e-3
-        for st in p.recovery:
-            s = st.wall_stresses(np.array([eps, 0, 0, 0, 0, 0]))
+        for s in wall_recovery(p, np.array([eps, 0, 0, 0, 0, 0])):
             assert s[0] == pytest.approx(E_ISO * eps, rel=1e-9)
             assert s[1] == 0.0
             assert abs(s[2]) < 1e-6
 
     def test_torsion_constant_shear_flow(self):
-        p = iso_box(0.6, 0.2, 2e-3).build()
+        box = iso_box(0.6, 0.2, 2e-3)
+        p = box.build()
         k1 = 2e-2
-        flows = [
-            st.wall_stresses(np.array([0, 0, 0, k1, 0, 0]))[2] * st.thickness
-            for st in p.recovery
-        ]
+        flows = wall_recovery(p, np.array([0, 0, 0, k1, 0, 0]))[:, 2] * p.thickness[0]
         assert np.ptp(flows) < 1e-9 * abs(flows[0])
         # Bredt: q = T / (2 A)
-        torque = p.C[3, 3] * k1
-        assert flows[0] == pytest.approx(torque / (2 * p.enclosed_area), rel=1e-9)
+        torque = p.C[0, 3, 3] * k1
+        area = box.geometry.enclosed_area[0]
+        assert flows[0] == pytest.approx(torque / (2 * area), rel=1e-9)
 
     def test_panel_arc_length(self):
         design = PanelDesign(QI, 2e-3)
         walls = {k: design for k in ("upper", "lower", "front", "rear")}
         idx = {"upper": 0, "lower": 0, "front": 1, "rear": 1}
-        p = box_section(0.6, 0.2, walls, ISO, panel_indices=idx).build()
-        assert p.panel_arc_length[0] == pytest.approx(1.2)
-        assert p.panel_arc_length[1] == pytest.approx(0.4)
+        box = box_section(0.6, 0.2, walls, ISO)
+        arc = np.bincount([idx[w] for w in BOX_WALLS], weights=box.geometry.length[0])
+        assert arc[0] == pytest.approx(1.2)
+        assert arc[1] == pytest.approx(0.4)
 
 
 class TestValidation:
     def test_open_contour_rejected(self):
         d = PanelDesign(QI, 2e-3)
-        segs = [
-            WallSegment((0, 0), (1, 0), d, ISO),
-            WallSegment((1, 0), (1, 1), d, ISO),
-            WallSegment((1, 1), (0.5, 1.5), d, ISO),
-        ]
+        p1 = [(0, 0), (1, 0), (1, 1)]
+        p2 = [(1, 0), (1, 1), (0.5, 1.5)]
         with pytest.raises(ValueError, match="gap"):
-            CrossSection(segs)
+            CrossSection(p1, p2, [d] * 3, ISO)
 
     def test_clockwise_rejected(self):
         d = PanelDesign(QI, 2e-3)
-        segs = [
-            WallSegment((0, 0), (0, 1), d, ISO),
-            WallSegment((0, 1), (1, 1), d, ISO),
-            WallSegment((1, 1), (1, 0), d, ISO),
-            WallSegment((1, 0), (0, 0), d, ISO),
-        ]
+        p1 = [(0, 0), (0, 1), (1, 1), (1, 0)]
+        p2 = [(0, 1), (1, 1), (1, 0), (0, 0)]
         with pytest.raises(ValueError, match="counter-clockwise"):
-            CrossSection(segs)
+            CrossSection(p1, p2, [d] * 4, ISO)
 
     def test_prescribed_diagonal(self):
         p = prescribed_section(1e8, 2e6, 3e6, 4e5, 5e6, 6e6, mu=12.0, i_polar=0.4)
