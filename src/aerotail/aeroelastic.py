@@ -128,8 +128,7 @@ def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
 
 def rayleigh_damping(model: BeamModel) -> np.ndarray:
     """Mass plus stiffness proportional damping, ZETA at the two lowest modes."""
-    res = model.modal(min(2, model.free.size))
-    w = res.omega
+    w = model.modal(_calibration_modes(model)).omega[:2]
     if w.size >= 2 and w[0] > 0.0:
         a = 2.0 * ZETA * w[0] * w[1] / (w[0] + w[1])
         b = 2.0 * ZETA / (w[0] + w[1])
@@ -176,6 +175,15 @@ class StabilityBasis:
     def expand(self, q: np.ndarray) -> np.ndarray:
         """Free-dof displacements of basis coordinates q."""
         return q if self.phi is None else self.phi @ q
+
+
+def _calibration_modes(model: BeamModel) -> int:
+    """Mode count whose two lowest frequencies calibrate rayleigh_damping.
+
+    Models solved in the N_MODES basis take them from the basis modes, so
+    no separate eigensolve runs; smaller models solve for two modes.
+    """
+    return N_MODES if model.free.size > N_MODES else 2
 
 
 def _stability_basis(model: BeamModel) -> StabilityBasis:

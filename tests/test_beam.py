@@ -1,17 +1,26 @@
 """Beam element and solver tests against closed-form prismatic results."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import aerotail
+from aerotail import beam as beam_module
 from aerotail.beam import (
     BeamModel,
     ElementGeometry,
     ElementSet,
     PointMass,
+    _count_positive,
     cantilever_model,
     element_frame,
 )
+from aerotail.config import load_config
 from aerotail.section import SectionProperties, prescribed_section
+
+DATA = os.path.join(os.path.dirname(aerotail.__file__), "data")
 
 # slender reference member
 EA, GA, GJ = 2.1e9, 8.0e8, 3.5e5
@@ -174,6 +183,48 @@ class TestModal:
         assert f[2::6].sum() == pytest.approx(-9.81 * MU * L, rel=1e-12)
 
 
+def column(n_elem):
+    """Shear-rigid Euler column along x."""
+    sec = prescribed_section(EA, 1e12, 1e12, GJ, EI2, EI3, mu=MU, i_polar=IP)
+    return cantilever_model(sec, L, n_elem)
+
+
+def dense_buckling(m, loads, n_modes):
+    """Buckling by a full eigh of L^-1 (-K_g) L^-T, kept where mu > 1e-12.
+
+    Returns the n_modes smallest factors, their shapes and the number of
+    mu > 1e-12.  L is the transposed upper Cholesky factor of K_ff, the one
+    the model solves with: the lower factor rounds differently, which moves
+    the largest mu of the 64-element column by 4e-12 relative (cond(K_ff)
+    is 4e8 there).
+    """
+    kg = m.geometric_stiffness(m.static_solve(loads))[6:, 6:]
+    chol = scipy.linalg.cholesky(m.stiffness()[6:, 6:], lower=False).T
+    a = scipy.linalg.solve_triangular(chol, -kg, lower=True)
+    a = scipy.linalg.solve_triangular(chol, a.T, lower=True)
+    mu, y = scipy.linalg.eigh(0.5 * (a + a.T))
+    pos = mu > 1e-12
+    order = np.argsort(1.0 / mu[pos])[:n_modes]
+    shapes = np.zeros((m.n_dof, order.size))
+    shapes[6:] = scipy.linalg.solve_triangular(chol, y[:, pos][:, order], lower=True, trans="T")
+    return 1.0 / mu[pos][order], shapes, int(pos.sum())
+
+
+def euler_tip(m):
+    return tip_load(m, 0, -1e3)
+
+
+def tension_compression(m):
+    """Tip pulled, mid-span node pushed twice as hard: outer half in tension, inner in compression."""
+    f = tip_load(m, 0, 1e3)
+    f[6 * (m.n_nodes // 2)] = -2e3
+    return f
+
+
+def lateral_tip(m):
+    return tip_load(m, 2, 5e3)
+
+
 class TestBuckling:
     def test_euler_clamped_free(self):
         sec = prescribed_section(EA, 1e12, 1e12, GJ, EI2, EI3, mu=MU, i_polar=IP)
@@ -200,6 +251,92 @@ class TestBuckling:
         m = cantilever_model(sec, L, 8)
         res = m.buckling(tip_load(m, 0, +1e3), n_modes=5)
         assert res.factors.size == 0
+
+    @pytest.mark.parametrize(
+        "n_elem, load, n_modes, count",
+        [
+            (64, euler_tip, 3, 256),  # more modes than asked for
+            (64, euler_tip, 300, 256),  # fewer modes than asked for
+            (16, tension_compression, 8, 30),
+            (16, tension_compression, 40, 30),
+            (16, lateral_tip, 8, 0),
+        ],
+    )
+    def test_counted_modes_match_dense_reference(self, n_elem, load, n_modes, count):
+        m = column(n_elem)
+        f = load(m)
+        ref, ref_shapes, ref_count = dense_buckling(m, f, n_modes)
+        assert ref_count == count
+        res = m.buckling(f, n_modes=n_modes)
+        assert res.factors.size == min(count, n_modes)
+        assert res.shapes.shape == (m.n_dof, res.factors.size)
+        # an eigensolver fixes mu to round-off times the largest mu, so a
+        # factor far up the spectrum agrees only to that absolute level
+        mu, mu_ref = 1.0 / res.factors, 1.0 / ref
+        assert np.all(np.abs(mu - mu_ref) <= 1e-12 * mu_ref.max(initial=0.0))
+        assert np.all(np.abs(res.factors[:3] - ref[:3]) <= 1e-12 * ref[:3])
+        sign = np.sign(np.sum(res.shapes * ref_shapes, axis=0))
+        scale = np.abs(ref_shapes).max(axis=0)
+        assert np.all(np.abs(res.shapes * sign - ref_shapes).max(axis=0) <= 1e-9 * scale)
+
+    def test_inertia_count_matches_eigenvalues(self):
+        # random symmetric indefinite matrices draw 2x2 pivots as well as 1x1
+        rng = np.random.default_rng(5)
+        for n in range(1, 41):
+            q = rng.normal(size=(n, n))
+            a = q + q.T + rng.normal() * n * np.eye(n)
+            assert _count_positive(a) == np.count_nonzero(np.linalg.eigvalsh(a) > 0.0)
+
+    def test_zero_count_factors_stiffness_once_without_dense_work(self, monkeypatch):
+        cfg = load_config(os.path.join(DATA, "toy_two_panel.json"))
+        cases = [(column(8), tip_load(column(8), 0, 1e3))]
+        for analysis in cfg.analyses():
+            for i_lc in range(len(analysis.loadcases)):
+                model = analysis.build_model(cfg.initial_design())
+                cases.append((model.beam, analysis.trim(model, i_lc)[1]))
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense solve on the zero-count path")
+
+        factorizations = []
+        cho_factor = beam_module.cho_factor
+
+        def counted(*args, **kwargs):
+            factorizations.append(args)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(beam_module, "eigh", dense)
+        monkeypatch.setattr(beam_module, "solve_triangular", dense)
+        monkeypatch.setattr(beam_module, "cho_factor", counted)
+        for m, f in cases:
+            factorizations.clear()
+            m.static_solve(f)
+            for _ in range(2):
+                res = m.buckling(f, n_modes=8)
+                assert res.factors.size == 0
+                assert res.shapes.shape == (m.n_dof, 0)
+            assert len(factorizations) == 1
+
+
+class TestStaticSolveFactor:
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    def test_bits_match_positive_definite_solve(self, name):
+        cfg = load_config(os.path.join(DATA, name))
+        rng = np.random.default_rng(3)
+        for analysis in cfg.analyses():
+            model = analysis.build_model(cfg.initial_design())
+            b = model.beam
+            for f in (analysis.trim(model, 0)[1], rng.normal(size=b.n_dof)):
+                expect = scipy.linalg.solve(b.stiffness()[6:, 6:], f[6:], assume_a="pos")
+                u = b.static_solve(f)
+                assert np.array_equal(u[6:], expect)
+                assert not u[:6].any()
+
+    def test_ill_conditioned_stiffness_warns(self):
+        sec = prescribed_section(1e20, GA, GA, GJ, EI2, EI3, mu=MU, i_polar=IP)
+        m = cantilever_model(sec, L, 4)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            m.static_solve(tip_load(m, 2, 1.0))
 
 
 class TestFrames:
