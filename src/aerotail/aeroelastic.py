@@ -128,14 +128,12 @@ def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
 
 def rayleigh_damping(model: BeamModel) -> np.ndarray:
     """Mass plus stiffness proportional damping, ZETA at the two lowest modes."""
+    # one element already leaves 6 free dofs, so two modes always exist
     w = model.modal(_calibration_modes(model)).omega[:2]
-    if w.size >= 2 and w[0] > 0.0:
-        a = 2.0 * ZETA * w[0] * w[1] / (w[0] + w[1])
-        b = 2.0 * ZETA / (w[0] + w[1])
-    elif w.size and w[0] > 0.0:
-        a, b = 0.0, 2.0 * ZETA / w[0]
-    else:
+    if w[0] <= 0.0:
         raise ValueError("model has no elastic modes to calibrate damping")
+    a = 2.0 * ZETA * w[0] * w[1] / (w[0] + w[1])
+    b = 2.0 * ZETA / (w[0] + w[1])
     return a * model.mass() + b * model.stiffness()
 
 

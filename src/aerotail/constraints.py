@@ -14,9 +14,11 @@ Constraint vector (all entries feasible when <= 0), fixed layout:
     feas 6 per design panel       lamination-parameter feasibility residuals
 
 Fixed-length blocks are padded with a large negative sentinel where fewer
-values exist, so the layout never depends on the design.  Every entry
-carries an availability tag; a model evaluates the entries tagged for its
-level (or "both") and reports NaN elsewhere.
+values exist, so the layout never depends on the design.  AVAILABILITY
+names the level that evaluates each category ("LF", "HF" or "both"): a
+model fills the blocks of its level and reports NaN elsewhere.  Only LF
+evaluates aileron effectiveness, so at HF the ae rows are NaN.  The layout
+and the level's mask are built once per analysis.
 
 Gradients: the mass gradient and the feasibility block are closed form;
 every other available row is central finite differences with step
@@ -53,7 +55,6 @@ from .laminate import (
     PanelDesign,
     feasibility_gradient,
     feasibility_residuals,
-    pad_critical,
     tsai_wu_factor,
 )
 from .section import wall_stresses
@@ -67,6 +68,20 @@ N_FEASIBILITY = 6  # residuals per panel, design only
 
 VARS_PER_PANEL = 9
 T_BOUNDS = (6.25e-4, 0.05)  # panel thickness box, m
+
+# level that evaluates each constraint category
+AVAILABILITY = {
+    "tw": "both",
+    "b": "both",
+    "ds": "both",
+    "ae": "LF",
+    "AoA": "both",
+    "feas": "both",
+}
+
+# pads critical-value lists to a fixed length; so strongly negative that a
+# padded entry never activates
+CRITICAL_PAD_SENTINEL = -1.0e30
 
 
 @dataclass(frozen=True)
@@ -134,28 +149,34 @@ def unpack_design(x, n_panels: int) -> list[PanelDesign]:
     return out
 
 
+def pad_critical(values, k: int) -> np.ndarray:
+    """The k largest values, largest first, padded with CRITICAL_PAD_SENTINEL to length k."""
+    values = np.asarray(values, dtype=float)
+    out = np.full(k, CRITICAL_PAD_SENTINEL)
+    top = values[np.argsort(-values, kind="stable")[:k]]
+    out[: top.size] = top
+    return out
+
+
 @dataclass(frozen=True)
 class ConstraintLayout:
-    """Static metadata of the constraint vector for one configuration.
+    """Where each block of the constraint vector lies, for one configuration.
 
-    entity holds the design-panel id (tw, feas), region id (b), or station
-    index (AoA); -1 where not applicable.  blocks maps (load case, category)
-    to the slice of that block; the design-only block uses load case -1.
+    blocks maps (load case, category) to the slice of that block, in row
+    order; the design-only block uses load case -1.  regions holds the
+    buckling region ids in the order of their rows.
     """
 
-    category: tuple[str, ...]
-    entity: np.ndarray
-    load_case: np.ndarray
-    availability: tuple[str, ...]
     blocks: dict
+    size: int
     regions: tuple[int, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.category)
-
     def mask_for(self, level: str) -> np.ndarray:
-        return np.array([a in ("both", level) for a in self.availability])
+        """Rows the given level evaluates, by AVAILABILITY."""
+        mask = np.zeros(self.size, dtype=bool)
+        for (_, category), sl in self.blocks.items():
+            mask[sl] = AVAILABILITY[category] in ("both", level)
+        return mask
 
     def rows(self, load_case: int, category: str) -> slice:
         return self.blocks[(load_case, category)]
@@ -163,38 +184,21 @@ class ConstraintLayout:
     @classmethod
     def build(cls, defn: WingDefinition, n_loadcases: int) -> "ConstraintLayout":
         regions = tuple(sorted(set(defn.zone_regions)))
-        cats: list[str] = []
-        entity: list[int] = []
-        lcs: list[int] = []
-        avail: list[str] = []
-        blocks: dict = {}
-
-        def block(lc, cat, entities):
-            start = len(cats)
-            tag = defn.category_availability(cat)
-            for e in entities:
-                cats.append(cat)
-                entity.append(e)
-                lcs.append(lc)
-                avail.append(tag)
-            blocks[(lc, cat)] = slice(start, len(cats))
-
-        for lc in range(n_loadcases):
-            block(lc, "tw", [p for p in range(defn.n_panels) for _ in range(N_TSAI_WU)])
-            block(lc, "b", [r for r in regions for _ in range(N_BUCKLING)])
-            block(lc, "ds", [-1] * N_STABILITY)
-            block(lc, "ae", [-1])
-            block(lc, "AoA", [s for s in range(len(defn.aoa_stations)) for _ in range(2)])
-        block(-1, "feas", [p for p in range(defn.n_panels) for _ in range(N_FEASIBILITY)])
-
-        return cls(
-            category=tuple(cats),
-            entity=np.array(entity),
-            load_case=np.array(lcs),
-            availability=tuple(avail),
-            blocks=blocks,
-            regions=regions,
+        per_lc = (
+            ("tw", N_TSAI_WU * defn.n_panels),
+            ("b", N_BUCKLING * len(regions)),
+            ("ds", N_STABILITY),
+            ("ae", 1),
+            ("AoA", 2 * len(defn.aoa_stations)),
         )
+        lengths = [((lc, cat), n) for lc in range(n_loadcases) for cat, n in per_lc]
+        lengths.append(((-1, "feas"), N_FEASIBILITY * defn.n_panels))
+        blocks: dict = {}
+        start = 0
+        for key, n in lengths:
+            blocks[key] = slice(start, start + n)
+            start += n
+        return cls(blocks=blocks, size=start, regions=regions)
 
 
 @dataclass
@@ -222,9 +226,11 @@ class GradientResult:
 class WingAnalysis:
     """Objective and constraint stack of one wing at one fidelity level.
 
-    The aero operators of every load case (lattice, AIC, coupling maps and,
-    where the aileron is constrained, the antisymmetric aileron operators)
-    are built once, on the first evaluation, and reused for every design.
+    The layout and the level's read-only row mask are built with the
+    analysis; every evaluation returns that one mask.  The aero operators
+    of every load case (lattice, AIC, coupling maps and, where the aileron
+    is constrained, the antisymmetric aileron operators) are built once, on
+    the first evaluation, and reused for every design.
     This holds because the beam nodes and the lattice depend only on the
     definition and the fidelity config, never on the design vector; a
     change that lets nodes or lattice follow the design must drop this
@@ -249,6 +255,8 @@ class WingAnalysis:
         self.fidelity = fidelity or FidelityConfig()
         self.level = level
         self.layout = ConstraintLayout.build(definition, len(self.loadcases))
+        self._mask = self.layout.mask_for(level)
+        self._mask.flags.writeable = False
         self._aero: list | None = None
         if self._have("ae") and definition.aileron is None:
             raise ValueError(
@@ -256,7 +264,7 @@ class WingAnalysis:
             )
 
     def _have(self, category: str) -> bool:
-        return self.definition.category_availability(category) in ("both", self.level)
+        return AVAILABILITY[category] in ("both", self.level)
 
     @property
     def n_variables(self) -> int:
@@ -321,7 +329,7 @@ class WingAnalysis:
         x = np.asarray(x, dtype=float)
         model = self.build_model(x)
         lay = self.layout
-        mask = lay.mask_for(self.level)
+        mask = self._mask
         c = np.full(lay.size, np.nan)
         nonsmooth = np.zeros(lay.size, dtype=bool)
         details: dict = {}

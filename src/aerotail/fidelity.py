@@ -43,18 +43,7 @@ from .section import (
     section_batch,
 )
 
-CATEGORIES = ("tw", "b", "ds", "ae", "AoA", "feas")
-
 WALL_NAMES = ("upper", "lower", "front", "rear")
-
-DEFAULT_AVAILABILITY = {
-    "tw": "both",
-    "b": "both",
-    "ds": "both",
-    "ae": "LF",
-    "AoA": "both",
-    "feas": "both",
-}
 
 
 @dataclass(frozen=True)
@@ -79,7 +68,6 @@ class WingDefinition:
     aileron: AileronDef | None = None
     supported_mass: float = 0.0
     fixed_mass: float = 0.0
-    availability: dict | None = None
     # WingStructure per FidelityConfig, filled by wing_structure
     _structures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -117,10 +105,6 @@ class WingDefinition:
     @property
     def n_variables(self) -> int:
         return 9 * self.n_panels
-
-    def category_availability(self, category: str) -> str:
-        table = self.availability or DEFAULT_AVAILABILITY
-        return table.get(category, "both")
 
     def bay_zone(self, bay: int) -> int:
         frac = (bay + 0.5) / self.n_bays

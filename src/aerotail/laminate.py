@@ -1,8 +1,7 @@
 """Composite laminate core.
 
 Lamination parameters, classical laminate theory stiffness, laminate
-feasibility constraints, Tsai-Wu strength evaluation and critical-value
-selection for constraint assembly.
+feasibility constraints and Tsai-Wu strength evaluation.
 
 Conventions: symmetric laminates only, so the membrane-bending coupling
 block is identically zero and stiffness is fully described by the A and D
@@ -28,14 +27,7 @@ __all__ = [
     "feasibility_gradient",
     "tsai_wu_factor",
     "tsai_wu_coefficients",
-    "select_critical",
-    "pad_critical",
-    "CRITICAL_PAD_SENTINEL",
 ]
-
-# Sentinel used to pad critical-value lists to a fixed length. Very feasible
-# (strongly negative) so padded constraint entries never activate.
-CRITICAL_PAD_SENTINEL = -1.0e30
 
 
 @dataclass(frozen=True)
@@ -289,32 +281,3 @@ def tsai_wu_factor(in_plane_stresses, material: MaterialProperties) -> float:
         + f66 * t12 * t12
         + 2.0 * f12 * s1 * s2
     )
-
-
-def select_critical(values, k: int) -> np.ndarray:
-    """Indices of the k most critical (largest) entries, most critical first.
-
-    Caller maps its quantity to a "larger is more critical" score before
-    calling (e.g. negate buckling factors). Ties break on the lower index
-    so the selection is deterministic. If fewer than k values exist, all
-    indices are returned; fixed-length padding is applied at the value
-    level by :func:`pad_critical`.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("values must be a nonempty 1-d array")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    order = np.argsort(-values, kind="stable")
-    return order[: min(k, values.size)]
-
-
-def pad_critical(values, k: int) -> np.ndarray:
-    """The k most critical values, padded with CRITICAL_PAD_SENTINEL to length k."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return np.full(k, CRITICAL_PAD_SENTINEL)
-    idx = select_critical(values, k)
-    out = np.full(k, CRITICAL_PAD_SENTINEL)
-    out[: idx.size] = values[idx]
-    return out

@@ -117,13 +117,54 @@ def _f(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _svg_open(title: str) -> list[str]:
-    return [
+def _svg_open(title: str, frame: bool = True) -> list[str]:
+    """Header, background and title, then the plot frame unless frame is False."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
     ]
+    if frame:
+        parts.append(
+            f'<rect x="{_ML}" y="{_MT}" width="{_W - _MR - _ML}" height="{_H - _MB - _MT}" '
+            f'fill="none" stroke="black"/>'
+        )
+    return parts
+
+
+def _axis_labels(parts, x_ticks, y_ticks, x_title, y_title, top=_MT, tick_gap=6, title_x=18):
+    """Tick labels and axis titles of the plot area between top and _H - _MB.
+
+    Ticks are (value, pixel) pairs: x ticks below the area, y ticks tick_gap
+    left of it.  The y title is rotated and centred on the area at title_x.
+    """
+    x0, x1, bottom = _ML, _W - _MR, _H - _MB
+    for v, px in x_ticks:
+        parts.append(
+            f'<text x="{_f(px)}" y="{bottom + 18}" text-anchor="middle" font-size="11">'
+            f"{format_value(v)}</text>"
+        )
+    for v, py in y_ticks:
+        parts.append(
+            f'<text x="{x0 - tick_gap}" y="{_f(py + 4)}" text-anchor="end" font-size="11">'
+            f"{format_value(v)}</text>"
+        )
+    parts.append(
+        f'<text x="{(x0 + x1) / 2}" y="{_H - 16}" text-anchor="middle" '
+        f'font-size="12">{x_title}</text>'
+    )
+    ym = (bottom + top) / 2
+    parts.append(
+        f'<text x="{title_x}" y="{ym}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 {title_x} {ym})">{y_title}</text>'
+    )
+
+
+def _write_svg(path, parts: list[str]) -> None:
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def _axis_limits(values: np.ndarray) -> tuple[float, float]:
@@ -151,10 +192,6 @@ def eigenvalue_scatter(path, lf_eigs, hf_eigs, title="Eigenvalues") -> None:
     y0, y1 = _H - _MB, _MT  # y grows upward in data space
 
     parts = _svg_open(title)
-    parts.append(
-        f'<rect x="{x0}" y="{_MT}" width="{x1 - x0}" height="{y0 - _MT}" '
-        f'fill="none" stroke="black"/>'
-    )
     # zero axes when inside range
     if xlo < 0.0 < xhi:
         xz = _scale(0.0, xlo, xhi, x0, x1)
@@ -168,24 +205,7 @@ def eigenvalue_scatter(path, lf_eigs, hf_eigs, title="Eigenvalues") -> None:
             f'<line x1="{x0}" y1="{_f(yz)}" x2="{x1}" y2="{_f(yz)}" '
             f'stroke="#bbbbbb" stroke-dasharray="4 3"/>'
         )
-    for lab, v, px in (("min", xlo, x0), ("max", xhi, x1)):
-        parts.append(
-            f'<text x="{px}" y="{y0 + 18}" text-anchor="middle" font-size="11">'
-            f"{format_value(v)}</text>"
-        )
-    for v, py in ((ylo, y0), (yhi, y1)):
-        parts.append(
-            f'<text x="{x0 - 6}" y="{py + 4}" text-anchor="end" font-size="11">'
-            f"{format_value(v)}</text>"
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2}" y="{_H - 16}" text-anchor="middle" '
-        f'font-size="12">Re</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(y0 + y1) / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2})">Im</text>'
-    )
+    _axis_labels(parts, ((xlo, x0), (xhi, x1)), ((ylo, y0), (yhi, y1)), "Re", "Im")
     for z in lf_eigs:
         cx = _scale(z.real, xlo, xhi, x0, x1)
         cy = _scale(z.imag, ylo, yhi, y0, y1)
@@ -212,9 +232,7 @@ def eigenvalue_scatter(path, lf_eigs, hf_eigs, title="Eigenvalues") -> None:
         f'{_MT + 36} L {lx + 4} {_MT + 28}" stroke="#d62728" stroke-width="1.5"/>'
     )
     parts.append(f'<text x="{lx + 10}" y="{_MT + 36}" font-size="12">HF</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 def _cell_color(v: float) -> str:
@@ -236,7 +254,7 @@ def mac_heatmap(path, mac: np.ndarray, title="MAC") -> None:
     y0, y1 = _MT + 10, _H - _MB
     cw = (x1 - x0) / nc
     ch = (y1 - y0) / nr
-    parts = _svg_open(title)
+    parts = _svg_open(title, frame=False)
     for i in range(nr):
         for j in range(nc):
             cx = x0 + j * cw
@@ -252,27 +270,17 @@ def mac_heatmap(path, mac: np.ndarray, title="MAC") -> None:
                 f'text-anchor="middle" font-size="11" fill="{color}">'
                 f"{m[i, j]:.2f}</text>"
             )
-    for j in range(nc):
-        parts.append(
-            f'<text x="{_f(x0 + (j + 0.5) * cw)}" y="{y1 + 18}" '
-            f'text-anchor="middle" font-size="11">{j + 1}</text>'
-        )
-    for i in range(nr):
-        parts.append(
-            f'<text x="{x0 - 8}" y="{_f(y0 + (i + 0.5) * ch + 4)}" '
-            f'text-anchor="end" font-size="11">{i + 1}</text>'
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2}" y="{_H - 16}" text-anchor="middle" '
-        f'font-size="12">HF mode</text>'
+    _axis_labels(
+        parts,
+        [(j + 1, x0 + (j + 0.5) * cw) for j in range(nc)],
+        [(i + 1, y0 + (i + 0.5) * ch) for i in range(nr)],
+        "HF mode",
+        "LF mode",
+        top=y0,
+        tick_gap=8,
+        title_x=16,
     )
-    parts.append(
-        f'<text x="16" y="{(y0 + y1) / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {(y0 + y1) / 2})">LF mode</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)
 
 
 def convergence_trace(path, trace, title="Optimizer trace") -> None:
@@ -288,10 +296,6 @@ def convergence_trace(path, trace, title="Optimizer trace") -> None:
     y0, y1 = _H - _MB, _MT
 
     parts = _svg_open(title)
-    parts.append(
-        f'<rect x="{x0}" y="{_MT}" width="{x1 - x0}" height="{y0 - _MT}" '
-        f'fill="none" stroke="black"/>'
-    )
     pts = [
         (
             _scale(idx[i], xlo, xhi, x0, x1),
@@ -320,23 +324,7 @@ def convergence_trace(path, trace, title="Optimizer trace") -> None:
             f'<circle cx="{_f(px)}" cy="{_f(py)}" r="4" fill="{fill}" '
             f'stroke="#1f77b4" stroke-width="1.2"/>'
         )
-    for v, px in ((0, x0), (f_vals.size - 1, x1)):
-        parts.append(
-            f'<text x="{px}" y="{y0 + 18}" text-anchor="middle" font-size="11">{v}</text>'
-        )
-    for v, py in ((ylo, y0), (yhi, y1)):
-        parts.append(
-            f'<text x="{x0 - 6}" y="{py + 4}" text-anchor="end" font-size="11">'
-            f"{format_value(v)}</text>"
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2}" y="{_H - 16}" text-anchor="middle" '
-        f'font-size="12">iterate</text>'
+    _axis_labels(
+        parts, ((0, x0), (f_vals.size - 1, x1)), ((ylo, y0), (yhi, y1)), "iterate", "objective"
     )
-    parts.append(
-        f'<text x="18" y="{(y0 + y1) / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2})">objective</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts)

@@ -331,8 +331,11 @@ def test_constraint_gradients_match_central_differences():
     # feasibility rows and the mass gradient are exact; eigenvalue-backed
     # rows get the loose band; the remaining rows are smooth solves and are
     # probed at a step distinct from the one the analysis differentiates at
-    eigen_rows = np.array([cat in ("b", "ds") for cat in lay.category])
-    closed_rows = np.array([cat == "feas" for cat in lay.category])
+    eigen_rows = np.zeros(lay.size, dtype=bool)
+    closed_rows = np.zeros(lay.size, dtype=bool)
+    for (_, cat), sl in lay.blocks.items():
+        eigen_rows[sl] = cat in ("b", "ds")
+        closed_rows[sl] = cat == "feas"
 
     rng = np.random.default_rng(7)
     for _ in range(5):

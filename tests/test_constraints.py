@@ -1,21 +1,26 @@
 """Constraint stack: layout, evaluation semantics, derivatives, determinism."""
 
+import os
+
 import numpy as np
 import pytest
 
+import aerotail
 from aerotail.aero import Planform
 from aerotail.aeroelastic import AileronDef
+from aerotail.config import load_config
 from aerotail.constraints import (
+    CRITICAL_PAD_SENTINEL,
     ConstraintLayout,
     LoadCase,
     WingAnalysis,
     constraint_length,
     pack_design,
+    pad_critical,
     unpack_design,
 )
 from aerotail.fidelity import FidelityConfig, WingDefinition, make_hf, make_lf
 from aerotail.laminate import (
-    CRITICAL_PAD_SENTINEL,
     PanelDesign,
     feasibility_residuals,
     lp_from_stack,
@@ -53,30 +58,38 @@ class TestLayout:
         for sl in lay.blocks.values():
             covered[sl] += 1
         assert np.all(covered == 1)
-        assert len(lay.category) == lay.size == len(lay.availability)
-        assert lay.entity.size == lay.size == lay.load_case.size
+        starts = [sl.start for sl in lay.blocks.values()]
+        stops = [sl.stop for sl in lay.blocks.values()]
+        assert starts == [0] + stops[:-1] and stops[-1] == lay.size
 
     def test_metadata_content(self):
-        defn = small_definition()
+        defn = small_definition()  # 2 panels, 1 region, 2 stations
         lay = ConstraintLayout.build(defn, 1)
-        tw = lay.rows(0, "tw")
-        assert all(c == "tw" for c in lay.category[tw])
-        assert list(lay.entity[tw]) == [0] * 8 + [1] * 8
-        feas = lay.rows(-1, "feas")
-        assert np.all(lay.load_case[feas] == -1)
-        assert list(lay.entity[feas]) == [0] * 6 + [1] * 6
-        ae = lay.rows(0, "ae")
-        assert lay.availability[ae.start] == "LF"
-        assert lay.availability[tw.start] == "both"
+        expected = [
+            ((0, "tw"), 8 * 2),
+            ((0, "b"), 8 * 1),
+            ((0, "ds"), 10),
+            ((0, "ae"), 1),
+            ((0, "AoA"), 2 * 2),
+            ((-1, "feas"), 6 * 2),
+        ]
+        assert [(key, sl.stop - sl.start) for key, sl in lay.blocks.items()] == expected
+        assert lay.regions == (0,)
+        for key, sl in lay.blocks.items():
+            assert lay.rows(*key) == sl
 
     def test_masks_partition_by_level(self):
-        defn = small_definition()
-        lay = ConstraintLayout.build(defn, 1)
-        m_lf = lay.mask_for("LF")
-        m_hf = lay.mask_for("HF")
-        assert np.all(m_lf)
-        assert np.sum(~m_hf) == 1  # the single ae entry per load case
-        assert not m_hf[lay.rows(0, "ae")][0]
+        cfg = load_config(os.path.join(os.path.dirname(aerotail.__file__), "data",
+                                       "wing_default.json"))
+        assert len(cfg.loadcases) == 2
+        for defn, n_lc in ((small_definition(), 1), (cfg.definition, len(cfg.loadcases))):
+            lay = ConstraintLayout.build(defn, n_lc)
+            m_lf = lay.mask_for("LF")
+            m_hf = lay.mask_for("HF")
+            assert np.all(m_lf)
+            assert np.sum(~m_hf) == n_lc  # the single ae entry per load case
+            for lc in range(n_lc):
+                assert not m_hf[lay.rows(lc, "ae")][0]
 
 
 class TestPacking:
@@ -101,6 +114,14 @@ class TestEvaluate:
         assert np.all(np.isfinite(out.c[out.mask]))
         assert np.all(out.mask)
         assert out.f > 0
+
+    def test_mask_built_once_and_read_only(self):
+        ana = toy_analysis("LF")
+        a = ana.evaluate(toy_x())
+        b = ana.evaluate(toy_x() * np.tile(np.r_[np.ones(8), 1.1], 2))
+        assert a.mask is b.mask
+        assert not a.mask.flags.writeable
+        assert np.array_equal(a.mask, ana.layout.mask_for("LF"))
 
     def test_hf_reports_nan_on_lf_only_rows(self):
         ana = toy_analysis("HF", cfg=FidelityConfig(mesh_factor=2, lattice_ny=8))
@@ -274,3 +295,26 @@ class TestGradients:
         assert np.all(np.isnan(grad.grad_c[sl]))
         avail = ana.layout.mask_for("HF")
         assert np.all(np.isfinite(grad.grad_c[avail]))
+
+
+class TestPadCritical:
+    def test_basic(self):
+        assert list(pad_critical([0.1, 0.9, 0.5], 2)) == [0.9, 0.5]
+
+    def test_identity_when_k_equals_n(self):
+        vals = [0.3, -1.0, 2.0, 0.0]
+        assert list(pad_critical(vals, 4)) == sorted(vals, reverse=True)
+
+    def test_matches_full_sort(self):
+        rng = np.random.default_rng(1)
+        vals = rng.normal(size=100)
+        assert np.array_equal(pad_critical(vals, 8), np.sort(vals)[::-1][:8])
+
+    def test_padding(self):
+        out = pad_critical([0.5, 0.2], 4)
+        assert out[0] == 0.5 and out[1] == 0.2
+        assert np.all(out[2:] == CRITICAL_PAD_SENTINEL)
+
+    def test_empty_is_all_padding(self):
+        out = pad_critical([], 3)
+        assert out.shape == (3,) and np.all(out == CRITICAL_PAD_SENTINEL)

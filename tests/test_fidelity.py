@@ -10,7 +10,7 @@ from aerotail.aero import Planform
 from aerotail.aeroelastic import AileronDef
 from aerotail.beam import PointMass, cantilever_model, element_frame
 from aerotail.config import load_config
-from aerotail.constraints import N_TSAI_WU, LoadCase, pack_design, unpack_design
+from aerotail.constraints import N_TSAI_WU, LoadCase, pack_design, pad_critical, unpack_design
 from aerotail.fidelity import (
     FidelityConfig,
     WingDefinition,
@@ -22,7 +22,6 @@ from aerotail.laminate import (
     MaterialProperties,
     PanelDesign,
     lp_from_stack,
-    pad_critical,
     tsai_wu_factor,
 )
 from aerotail.section import (

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from aerotail.laminate import (
-    CRITICAL_PAD_SENTINEL,
     LaminationParameters,
     MaterialProperties,
     PanelDesign,
@@ -12,8 +11,6 @@ from aerotail.laminate import (
     feasibility_gradient,
     feasibility_residuals,
     lp_from_stack,
-    pad_critical,
-    select_critical,
     tsai_wu_coefficients,
     tsai_wu_factor,
 )
@@ -213,31 +210,3 @@ class TestTsaiWu:
             sm[j] -= h
             fd = (tsai_wu_factor(sp, CFRP) - tsai_wu_factor(sm, CFRP)) / (2 * h)
             assert fd == pytest.approx(grad[j], rel=1e-6)
-
-
-class TestSelectCritical:
-    def test_basic(self):
-        idx = select_critical([0.1, 0.9, 0.5], 2)
-        assert list(idx) == [1, 2]
-
-    def test_identity_when_k_equals_n(self):
-        vals = [0.3, -1.0, 2.0, 0.0]
-        idx = select_critical(vals, 4)
-        assert sorted(idx) == [0, 1, 2, 3]
-        assert list(idx) == list(np.argsort(np.negative(vals), kind="stable"))
-
-    def test_matches_full_sort(self):
-        rng = np.random.default_rng(1)
-        vals = rng.normal(size=100)
-        idx = select_critical(vals, 8)
-        ref = np.argsort(-vals)[:8]
-        assert np.allclose(np.sort(vals[idx]), np.sort(vals[ref]))
-
-    def test_padding(self):
-        out = pad_critical([0.5, 0.2], 4)
-        assert out[0] == 0.5 and out[1] == 0.2
-        assert np.all(out[2:] == CRITICAL_PAD_SENTINEL)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            select_critical([], 1)
