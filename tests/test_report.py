@@ -201,3 +201,57 @@ class TestSvg:
                             delta=0.1, rho=np.nan, accepted=False)]
         with pytest.raises(ValueError):
             convergence_trace(tmp_path / "t.svg", trace)
+
+    def test_frame_ticks_and_titles_in_place(self, tmp_path):
+        # the three plots share one frame and label layout; pin its lines
+        frame = '<rect x="70" y="40" width="540" height="385" fill="none" stroke="black"/>'
+
+        def labels(path):
+            # the frame, then tick labels and axis titles: anchored text that
+            # is neither the plot title nor a coloured cell annotation
+            return [
+                s for s in path.read_text().splitlines()
+                if s == frame or s.startswith("<text") and "text-anchor" in s
+                and 'font-size="16"' not in s and "fill=" not in s
+            ]
+
+        p = tmp_path / "s.svg"
+        eigenvalue_scatter(p, np.array([-1.0 + 2.0j]), np.array([-1.1 + 2.1j]))
+        assert labels(p) == [
+            frame,
+            '<text x="70" y="443" text-anchor="middle" font-size="11">-1.108</text>',
+            '<text x="610" y="443" text-anchor="middle" font-size="11">-0.992</text>',
+            '<text x="64" y="429" text-anchor="end" font-size="11">1.992</text>',
+            '<text x="64" y="44" text-anchor="end" font-size="11">2.108</text>',
+            '<text x="340.0" y="464" text-anchor="middle" font-size="12">Re</text>',
+            '<text x="18" y="232.5" text-anchor="middle" font-size="12" '
+            'transform="rotate(-90 18 232.5)">Im</text>',
+        ]
+        p = tmp_path / "m.svg"
+        mac_heatmap(p, np.array([[1.0, 0.37], [0.12, 0.98]]))
+        assert labels(p) == [
+            '<text x="205" y="443" text-anchor="middle" font-size="11">1</text>',
+            '<text x="475" y="443" text-anchor="middle" font-size="11">2</text>',
+            '<text x="62" y="147.75" text-anchor="end" font-size="11">1</text>',
+            '<text x="62" y="335.25" text-anchor="end" font-size="11">2</text>',
+            '<text x="340.0" y="464" text-anchor="middle" font-size="12">HF mode</text>',
+            '<text x="16" y="237.5" text-anchor="middle" font-size="12" '
+            'transform="rotate(-90 16 237.5)">LF mode</text>',
+        ]
+        p = tmp_path / "t.svg"
+        convergence_trace(p, [
+            TraceEntry(x=np.zeros(2), f_hf=5.0, violation=0.0, delta=0.1,
+                       rho=np.nan, accepted=True),
+            TraceEntry(x=np.zeros(2), f_hf=4.0, violation=0.0, delta=0.1,
+                       rho=1.0, accepted=True),
+        ])
+        assert labels(p) == [
+            frame,
+            '<text x="70" y="443" text-anchor="middle" font-size="11">0</text>',
+            '<text x="610" y="443" text-anchor="middle" font-size="11">1</text>',
+            '<text x="64" y="429" text-anchor="end" font-size="11">3.92</text>',
+            '<text x="64" y="44" text-anchor="end" font-size="11">5.08</text>',
+            '<text x="340.0" y="464" text-anchor="middle" font-size="12">iterate</text>',
+            '<text x="18" y="232.5" text-anchor="middle" font-size="12" '
+            'transform="rotate(-90 18 232.5)">objective</text>',
+        ]
