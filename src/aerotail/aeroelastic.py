@@ -200,7 +200,7 @@ def _stability_basis(model: BeamModel) -> StabilityBasis:
 @dataclass
 class StabilityResult:
     eigenvalues: np.ndarray  # complex, sorted by descending real part
-    shapes: np.ndarray  # displacement partitions, (n_dof, k), complex
+    shapes: np.ndarray | None  # displacement partitions, (n_dof, k), complex; None unless asked
     degenerate: bool  # nearly repeated leading eigenvalues present
     basis: StabilityBasis  # its size and omega_max state the modal truncation
 
@@ -210,24 +210,34 @@ class StabilityResult:
 
 
 def dynamic_stability(
-    model: BeamModel, ops: AeroOperators, n_keep: int = N_STABILITY
+    model: BeamModel, ops: AeroOperators, n_keep: int = N_STABILITY, shapes: bool = True
 ) -> StabilityResult:
-    """Leading eigenvalues of the aeroelastic state matrix, in _stability_basis."""
+    """Leading eigenvalues of the aeroelastic state matrix, in _stability_basis.
+
+    With shapes False no eigenvectors are computed and the result's shapes
+    is None.  The eigenvalues, their order and the degenerate flag are the
+    same either way, so callers that read only those pass False.
+    """
     basis = _stability_basis(model)
     n = basis.size
-    a = np.zeros((2 * n, 2 * n))
+    a = np.zeros((2 * n, 2 * n), order="F")  # geev then works in place
     a[:n, n:] = np.eye(n)
     a[n:, :n] = -basis.project(model.free_block(model.stiffness() - ops.K_a))
     a[n:, n:] = -basis.project(model.free_block(rayleigh_damping(model) - ops.D_a))
-    lam, vec = scipy.linalg.eig(a)
+    if shapes:
+        lam, vec = scipy.linalg.eig(a)
+    else:
+        lam = scipy.linalg.eigvals(a, overwrite_a=True)
     order = np.lexsort((-lam.imag, -lam.real))
     keep = order[: min(n_keep, lam.size)]
-    shapes = np.zeros((model.n_dof, keep.size), dtype=complex)
-    shapes[model.free, :] = basis.expand(vec[:n, keep])
+    modes = None
+    if shapes:
+        modes = np.zeros((model.n_dof, keep.size), dtype=complex)
+        modes[model.free, :] = basis.expand(vec[:n, keep])
     kept = lam[keep]
     gaps = np.abs(np.diff(kept))
     degenerate = bool(np.any(gaps < _DEGENERATE_TOL * np.maximum(np.abs(kept[:-1]), 1.0)))
-    return StabilityResult(eigenvalues=kept, shapes=shapes, degenerate=degenerate, basis=basis)
+    return StabilityResult(eigenvalues=kept, shapes=modes, degenerate=degenerate, basis=basis)
 
 
 @dataclass

@@ -126,7 +126,7 @@ def _analyze(args, cfg, out) -> None:
         eigs_per_case = {}
         for i_lc in range(len(cfg.loadcases)):
             _, ops, _ = analysis.operators(i_lc)
-            res = dynamic_stability(beam, ops, n_keep=args.modes)
+            res = dynamic_stability(beam, ops, n_keep=args.modes, shapes=False)
             name = _case_name(cfg, i_lc)
             eigs_per_case[name] = res.eigenvalues
             for i, z in enumerate(res.eigenvalues):

@@ -20,12 +20,15 @@ model fills the blocks of its level and reports NaN elsewhere.  Only LF
 evaluates aileron effectiveness, so at HF the ae rows are NaN.  The layout
 and the level's mask are built once per analysis.
 
-Gradients: the mass gradient and the feasibility block are closed form;
-every other available row is central finite differences with step
-1e-6 * (1 + |x_i|), falling back to one-sided probes at the box bounds
-so the model is never evaluated outside its domain.  Near-coincident
-eigenvalues are reported through per-entry non-smoothness flags so the
-optimizer can react.
+Gradients: the mass gradient and the feasibility block are closed form.
+Every other row is differentiated by central finite differences, step
+1e-6 * (1 + |x_i|), in the PROBED_ENTRIES of each panel only (xiA1..4 and
+t), falling back to one-sided probes at the box bounds so the model is
+never evaluated outside its domain.  The model reads a panel only through
+its membrane stiffness and thickness, so the xiD columns of those rows are
+exactly 0.0 on available rows and NaN elsewhere, which is what probing them
+would give.  Near-coincident eigenvalues are reported through per-entry
+non-smoothness flags so the optimizer can react.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ N_BUCKLING = 8  # entries kept per region per load case
 N_FEASIBILITY = 6  # residuals per panel, design only
 
 VARS_PER_PANEL = 9
+# panel entries the physics rows read: A comes from xiA and t, nothing from xiD
+PROBED_ENTRIES = (0, 1, 2, 3, 8)
 T_BOUNDS = (6.25e-4, 0.05)  # panel thickness box, m
 
 # level that evaluates each constraint category
@@ -220,7 +225,8 @@ class ModelOutputs:
 class GradientResult:
     grad_f: np.ndarray
     grad_c: np.ndarray  # (n_constraints, n_variables), NaN on unavailable rows
-    nonsmooth: np.ndarray  # entries whose finite differencing crossed a flagged point
+    nonsmooth: np.ndarray  # rows flagged at any probe that ran
+    n_evaluates: int = 0  # model evaluations run for this gradient; 0 when closed form
 
 
 class WingAnalysis:
@@ -382,7 +388,7 @@ class WingAnalysis:
                     nonsmooth[sl] = True
 
         if self._have("ds"):
-            stab = dynamic_stability(beam, ops)
+            stab = dynamic_stability(beam, ops, shapes=False)
             sl = lay.rows(i_lc, "ds")
             c[sl] = pad_critical(np.real(stab.eigenvalues), N_STABILITY)
             if stab.degenerate:
@@ -424,12 +430,15 @@ class WingAnalysis:
     def gradients(self, x) -> GradientResult:
         x = np.asarray(x, dtype=float)
         lay = self.layout
-        n = x.size
+        n_panels = self.definition.n_panels
         grad_f = self.mass_gradient(x)
-        grad_c = np.empty((lay.size, n))
+        # unprobed columns hold what a probe would give: 0.0, NaN off the level
+        grad_c = np.empty((lay.size, x.size))
+        grad_c[:] = np.where(self._mask, 0.0, np.nan)[:, None]
         flags = np.zeros(lay.size, dtype=bool)
         lb, ub = self.bounds()
-        for i in range(n):
+        probed = [VARS_PER_PANEL * p + k for p in range(n_panels) for k in PROBED_ENTRIES]
+        for i in probed:
             h = FD_REL_STEP * (1.0 + abs(x[i]))
             # probes stay inside the box; one-sided at a pinned bound
             hp = max(0.0, min(h, ub[i] - x[i]))
@@ -446,9 +455,10 @@ class WingAnalysis:
         # exact rows for the design-only feasibility block
         sl = lay.rows(-1, "feas")
         grad_c[sl, :] = 0.0
-        panels = unpack_design(x, self.definition.n_panels)
-        for p, pd in enumerate(panels):
+        for p, pd in enumerate(unpack_design(x, n_panels)):
             r0 = sl.start + N_FEASIBILITY * p
             c0 = VARS_PER_PANEL * p
             grad_c[r0 : r0 + N_FEASIBILITY, c0 : c0 + 8] = feasibility_gradient(pd.lp)
-        return GradientResult(grad_f=grad_f, grad_c=grad_c, nonsmooth=flags)
+        return GradientResult(
+            grad_f=grad_f, grad_c=grad_c, nonsmooth=flags, n_evaluates=2 * len(probed)
+        )

@@ -18,6 +18,10 @@ step, which is flagged in the report.
 Models are anything with evaluate(x) -> ModelOutputs, gradients(x) ->
 GradientResult, and bounds(); WingAnalysis instances and the bundled
 analytic benchmark pair both qualify.
+
+The report counts calls per level (n_*_evals, n_*_grads) and model solves
+(n_*_solves): evaluates plus the finite-difference probes of every gradient.
+The single-fidelity run counts everything against HF and reports 0 on LF.
 """
 
 from __future__ import annotations
@@ -165,20 +169,29 @@ def _checked_correction(
 
 
 class _Counting:
-    """Per-model call counter; identical model objects share one counter."""
+    """Per-model call counter; identical model objects share one counter.
+
+    solves counts model evaluations: every evaluate that reaches the model
+    plus the n_evaluates of every gradient it returns (a gradient call that
+    raises adds none).
+    """
 
     def __init__(self, model):
         self.model = model
         self.evals = 0
         self.grads = 0
+        self.solves = 0
 
     def evaluate(self, x) -> ModelOutputs:
         self.evals += 1
+        self.solves += 1
         return self.model.evaluate(x)
 
     def gradients(self, x) -> GradientResult:
         self.grads += 1
-        return self.model.gradients(x)
+        out = self.model.gradients(x)
+        self.solves += out.n_evaluates
+        return out
 
 
 def _attempt(call, x):
@@ -271,6 +284,8 @@ class OptimizerReport:
     n_hf_grads: int
     n_lf_evals: int
     n_lf_grads: int
+    n_hf_solves: int  # evaluates plus gradient probes, as _Counting.solves
+    n_lf_solves: int
     termination: str
     restorations: int = 0
     nonsmooth_encounters: int = 0
@@ -284,6 +299,8 @@ class OptimizerReport:
             "n_hf_grads": self.n_hf_grads,
             "n_lf_evals": self.n_lf_evals,
             "n_lf_grads": self.n_lf_grads,
+            "n_hf_solves": self.n_hf_solves,
+            "n_lf_solves": self.n_lf_solves,
             "termination": self.termination,
             "restorations": self.restorations,
             "nonsmooth_encounters": self.nonsmooth_encounters,
@@ -420,6 +437,8 @@ def trmm_optimize(
             n_hf_grads=hf_count.grads,
             n_lf_evals=0 if lf_count is hf_count else lf_count.evals,
             n_lf_grads=0 if lf_count is hf_count else lf_count.grads,
+            n_hf_solves=hf_count.solves,
+            n_lf_solves=0 if lf_count is hf_count else lf_count.solves,
             termination=term,
             restorations=restos,
             nonsmooth_encounters=nonsm,

@@ -293,6 +293,21 @@ class TestModalReduction:
                 assert res.basis.omega_max == beam.modal(N_MODES).omega[-1]
 
     @pytest.mark.parametrize("level", ["LF", "HF"])
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    def test_eigenvalues_only_solve_matches_solve_with_shapes(self, name, level):
+        cfg, analyses = shipped(name)
+        analysis = analyses[level]
+        beam = analysis.build_model(seeded_design(cfg, 3)).beam
+        for i_lc in range(len(analysis.loadcases)):
+            _, ops, _ = analysis.operators(i_lc)
+            fast = dynamic_stability(beam, ops, shapes=False)
+            ref = dynamic_stability(beam, ops)
+            assert fast.shapes is None
+            assert np.array_equal(fast.eigenvalues, ref.eigenvalues)
+            assert fast.degenerate == ref.degenerate
+            assert fast.basis.size == ref.basis.size
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
     def test_small_models_are_solved_at_full_order(self, level):
         cfg, analyses = shipped("toy_two_panel.json")
         analysis = analyses[level]

@@ -6,7 +6,8 @@ import os
 import pytest
 
 import aerotail
-from aerotail.aeroelastic import N_MODES
+from aerotail import cli
+from aerotail.aeroelastic import N_MODES, dynamic_stability
 from aerotail.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from aerotail.compare import compare_static
 from aerotail.config import load_config
@@ -116,6 +117,22 @@ class TestAnalyze:
         assert doc["basis_size"] == N_MODES
         assert doc["basis_omega_max_rad_s"] == pytest.approx(
             beam.modal(N_MODES).omega[-1], rel=1e-10)
+
+    @pytest.mark.parametrize("config,level", [("toy", "LF"), ("toy", "HF"), ("default", "HF")])
+    def test_flutter_files_match_solve_with_shapes(self, tmp_path, monkeypatch, config, level):
+        def files(out):
+            return {f: open(os.path.join(out, f), "rb").read() for f in sorted(os.listdir(out))}
+
+        fast, ref = str(tmp_path / "fast"), str(tmp_path / "ref")
+        path = {"toy": TOY, "default": DEFAULT}[config]
+        argv = ("analyze", "--case", "flutter", "--config", path, "--level", level)
+        assert run(*argv, "--out", fast) == EXIT_OK
+        monkeypatch.setattr(
+            cli, "dynamic_stability",
+            lambda beam, ops, n_keep, shapes: dynamic_stability(beam, ops, n_keep=n_keep),
+        )
+        assert run(*argv, "--out", ref) == EXIT_OK
+        assert files(fast) == files(ref)
 
     def test_unnamed_load_cases_get_one_name_everywhere(self, tmp_path):
         with open(TOY, encoding="utf-8") as fh:
@@ -245,3 +262,12 @@ class TestOptimize:
         assert doc["f_best"] > 0.0
         assert os.path.exists(os.path.join(out, "optimize_trace.csv"))
         assert os.path.exists(os.path.join(out, "optimize_trace.svg"))
+
+    def test_solve_counters_include_gradient_probes(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert run("optimize", "--config", TOY, "--budget", "3", "--out", out) == EXIT_OK
+        doc = json.loads(open(os.path.join(out, "optimize.json")).read())
+        assert doc["n_lf_grads"] > 0 and doc["n_hf_grads"] > 0
+        # a toy gradient probes xiA1..4 and t of both panels, twice each
+        assert doc["n_lf_solves"] == doc["n_lf_evals"] + 20 * doc["n_lf_grads"]
+        assert doc["n_hf_solves"] == doc["n_hf_evals"] + 20 * doc["n_hf_grads"]

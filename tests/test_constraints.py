@@ -7,10 +7,14 @@ import pytest
 
 import aerotail
 from aerotail.aero import Planform
-from aerotail.aeroelastic import AileronDef
+from aerotail.aeroelastic import N_STABILITY, AileronDef, dynamic_stability
 from aerotail.config import load_config
 from aerotail.constraints import (
     CRITICAL_PAD_SENTINEL,
+    FD_REL_STEP,
+    N_FEASIBILITY,
+    PROBED_ENTRIES,
+    VARS_PER_PANEL,
     ConstraintLayout,
     LoadCase,
     WingAnalysis,
@@ -22,11 +26,15 @@ from aerotail.constraints import (
 from aerotail.fidelity import FidelityConfig, WingDefinition, make_hf, make_lf
 from aerotail.laminate import (
     PanelDesign,
+    feasibility_gradient,
     feasibility_residuals,
     lp_from_stack,
 )
 
+from test_aeroelastic import seeded_design, shipped
 from test_fidelity import CFRP, small_definition, small_panels
+
+SHIPPED = ("toy_two_panel.json", "wing_default.json")
 
 LC = LoadCase(V=50.0, rho=1.225, load_factor=2.5, alpha_min=-0.1, alpha_max=0.25, eta_min=0.3)
 LF_CFG = FidelityConfig(mesh_factor=1, lattice_nx=2, lattice_ny=6)
@@ -295,6 +303,87 @@ class TestGradients:
         assert np.all(np.isnan(grad.grad_c[sl]))
         avail = ana.layout.mask_for("HF")
         assert np.all(np.isfinite(grad.grad_c[avail]))
+
+
+def full_probe_gradients(ana, x):
+    """grad_c and flags from central differences in every entry of x, xiD
+    included; the feasibility block closed form."""
+    lb, ub = ana.bounds()
+    grad_c = np.empty((ana.n_constraints, x.size))
+    flags = np.zeros(ana.n_constraints, dtype=bool)
+    for i in range(x.size):
+        h = FD_REL_STEP * (1.0 + abs(x[i]))
+        hp = max(0.0, min(h, ub[i] - x[i]))
+        hm = max(0.0, min(h, x[i] - lb[i]))
+        xp = x.copy(); xp[i] += hp
+        xm = x.copy(); xm[i] -= hm
+        op, om = ana.evaluate(xp), ana.evaluate(xm)
+        grad_c[:, i] = (op.c - om.c) / (hp + hm)
+        flags |= op.nonsmooth | om.nonsmooth
+    sl = ana.layout.rows(-1, "feas")
+    grad_c[sl, :] = 0.0
+    for p, pd in enumerate(unpack_design(x, ana.definition.n_panels)):
+        r0, c0 = sl.start + N_FEASIBILITY * p, VARS_PER_PANEL * p
+        grad_c[r0 : r0 + N_FEASIBILITY, c0 : c0 + 8] = feasibility_gradient(pd.lp)
+    return grad_c, flags
+
+
+class TestStructuralZeros:
+    """xiD reaches no physics row, so gradients does not probe it.
+
+    These fail once a physics row reads xiD; PROBED_ENTRIES must then grow.
+    """
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_moving_xid_leaves_physics_rows_bit_identical(self, name, level):
+        cfg, analyses = shipped(name)
+        ana = analyses[level]
+        x = cfg.initial_design()
+        xid = np.zeros(x.size, dtype=bool)
+        for p in range(cfg.definition.n_panels):
+            xid[VARS_PER_PANEL * p + 4 : VARS_PER_PANEL * p + 8] = True
+        moved = np.where(xid, seeded_design(cfg, 5), x)  # another realizable xiD
+        step = np.abs(moved - x)[xid].reshape(-1, 4)
+        assert np.all(step.max(axis=1) > 1e-2)
+
+        feas = np.zeros(ana.n_constraints, dtype=bool)
+        feas[ana.layout.rows(-1, "feas")] = True
+        base, out = ana.evaluate(x), ana.evaluate(moved)
+        assert np.max(out.c[feas]) <= 1e-9
+        assert out.f == base.f
+        assert np.array_equal(out.c[~feas], base.c[~feas], equal_nan=True)
+        assert np.array_equal(out.nonsmooth, base.nonsmooth)
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_gradients_equal_full_probe_reference(self, level):
+        cfg, analyses = shipped("toy_two_panel.json")
+        ana = analyses[level]
+        for x in (cfg.initial_design(), seeded_design(cfg, 1)):
+            grad = ana.gradients(x)
+            ref_c, ref_flags = full_probe_gradients(ana, x)
+            assert np.array_equal(grad.grad_c, ref_c, equal_nan=True)
+            assert np.array_equal(grad.nonsmooth, ref_flags)
+            assert np.array_equal(grad.grad_f, ana.mass_gradient(x))
+            assert grad.n_evaluates == 2 * len(PROBED_ENTRIES) * 2  # two panels
+
+
+class TestStabilityRows:
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_ds_rows_match_solve_with_shapes(self, name, level):
+        cfg, analyses = shipped(name)
+        ana = analyses[level]
+        for x in (cfg.initial_design(), seeded_design(cfg, 1), seeded_design(cfg, 2)):
+            out = ana.evaluate(x)
+            beam = ana.build_model(x).beam
+            for i_lc in range(len(ana.loadcases)):
+                _, ops, _ = ana.operators(i_lc)
+                stab = dynamic_stability(beam, ops, shapes=True)
+                sl = ana.layout.rows(i_lc, "ds")
+                expect = pad_critical(np.real(stab.eigenvalues), N_STABILITY)
+                assert np.array_equal(out.c[sl], expect)
+                assert np.all(out.nonsmooth[sl] == stab.degenerate)
 
 
 class TestPadCritical:

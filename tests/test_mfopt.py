@@ -121,6 +121,16 @@ class TestLoop:
         assert rep.n_lf_evals == 0 and rep.n_lf_grads == 0
         assert rep.n_hf_evals > 0
 
+    def test_solve_counters_equal_evaluates_on_closed_form_models(self):
+        lf, hf, x0, _, _ = quadratic_benchmark_pair()
+        mf = trmm_optimize(lf, hf, x0, budget=20)
+        assert mf.n_lf_solves == mf.n_lf_evals > 0
+        assert mf.n_hf_solves == mf.n_hf_evals
+        sf = trmm_optimize(hf, hf, x0, budget=20)
+        assert sf.n_lf_solves == 0 and sf.n_hf_solves == sf.n_hf_evals
+        summary = mf.summary()
+        assert (summary["n_lf_solves"], summary["n_hf_solves"]) == (mf.n_lf_solves, mf.n_hf_solves)
+
     def test_multifidelity_saves_hf_evaluations(self):
         lf, hf, x0, _, f_star = quadratic_benchmark_pair()
         mf = trmm_optimize(lf, hf, x0, budget=200)
