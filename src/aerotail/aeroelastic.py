@@ -220,7 +220,7 @@ def dynamic_stability(
     """
     basis = _stability_basis(model)
     n = basis.size
-    a = np.zeros((2 * n, 2 * n), order="F")  # geev then works in place
+    a = np.zeros((2 * n, 2 * n), order="F")  # eigvals can then overwrite it in place
     a[:n, n:] = np.eye(n)
     a[n:, :n] = -basis.project(model.free_block(model.stiffness() - ops.K_a))
     a[n:, n:] = -basis.project(model.free_block(rayleigh_damping(model) - ops.D_a))

@@ -433,8 +433,8 @@ class WingAnalysis:
         n_panels = self.definition.n_panels
         grad_f = self.mass_gradient(x)
         # unprobed columns hold what a probe would give: 0.0, NaN off the level
-        grad_c = np.empty((lay.size, x.size))
-        grad_c[:] = np.where(self._mask, 0.0, np.nan)[:, None]
+        grad_c = np.full((lay.size, x.size), np.nan)
+        grad_c[self._mask] = 0.0
         flags = np.zeros(lay.size, dtype=bool)
         lb, ub = self.bounds()
         probed = [VARS_PER_PANEL * p + k for p in range(n_panels) for k in PROBED_ENTRIES]
