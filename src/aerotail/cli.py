@@ -245,9 +245,9 @@ def _optimize(args, cfg, out) -> None:
     write_json(os.path.join(out, "optimize.json"), payload)
     write_csv(
         os.path.join(out, "optimize_trace.csv"),
-        ["index", "f_hf", "violation", "delta", "rho", "accepted"],
+        ["index", "f_hf", "violation", "delta", "rho", "accepted", "restoration"],
         [
-            [i, t.f_hf, t.violation, t.delta, t.rho, int(t.accepted)]
+            [i, t.f_hf, t.violation, t.delta, t.rho, int(t.accepted), int(t.restoration)]
             for i, t in enumerate(report.trace)
         ],
     )

@@ -158,7 +158,6 @@ def load_config(path) -> RunConfig:
             material=material,
             zone_bounds=tuple(s["zone_bounds"]),
             wall_panels=tuple({k: int(v) for k, v in wm.items()} for wm in s["wall_panels"]),
-            zone_regions=tuple(int(r) for r in s["zone_regions"]),
             aoa_stations=tuple(s["aoa_stations"]),
             aileron=aileron,
             supported_mass=float(s.get("supported_mass", 0.0)),

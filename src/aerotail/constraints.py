@@ -7,7 +7,6 @@ Constraint vector (all entries feasible when <= 0), fixed layout:
 
     for each load case:
         tw   8 per design panel   most critical Tsai-Wu residuals w - 1
-        b    8 per buckling region   1 - lambda for attributed modes
         ds   10                   real parts of leading aeroelastic eigenvalues
         ae   1                    eta_min - eta (aileron effectiveness)
         AoA  2 per station        alpha bounds at trim, lower then upper
@@ -19,6 +18,10 @@ names the level that evaluates each category ("LF", "HF" or "both"): a
 model fills the blocks of its level and reports NaN elsewhere.  Only LF
 evaluates aileron effectiveness, so at HF the ae rows are NaN.  The layout
 and the level's mask are built once per analysis.
+
+There are no beam-buckling rows: the beam nodes lie in z = 0 and every
+trimmed load is Fz, Mx or My, so the cantilever carries no axial force and
+beam buckling has no factor to report.
 
 Gradients: the mass gradient and the feasibility block are closed form.
 Every other row is differentiated by central finite differences, step
@@ -66,7 +69,6 @@ GRAVITY = 9.80665
 FD_REL_STEP = 1.0e-6
 
 N_TSAI_WU = 8  # entries kept per panel per load case
-N_BUCKLING = 8  # entries kept per region per load case
 N_FEASIBILITY = 6  # residuals per panel, design only
 
 VARS_PER_PANEL = 9
@@ -77,7 +79,6 @@ T_BOUNDS = (6.25e-4, 0.05)  # panel thickness box, m
 # level that evaluates each constraint category
 AVAILABILITY = {
     "tw": "both",
-    "b": "both",
     "ds": "both",
     "ae": "LF",
     "AoA": "both",
@@ -119,14 +120,8 @@ class LoadCase:
         return FlowConditions(V=self.V, rho=self.rho, alpha=self.alpha, mach=self.mach)
 
 
-def constraint_length(n_lc: int, n_panels: int, n_regions: int, n_stations: int) -> int:
-    per_lc = (
-        N_TSAI_WU * n_panels
-        + N_BUCKLING * n_regions
-        + N_STABILITY
-        + 1
-        + 2 * n_stations
-    )
+def constraint_length(n_lc: int, n_panels: int, n_stations: int) -> int:
+    per_lc = N_TSAI_WU * n_panels + N_STABILITY + 1 + 2 * n_stations
     return n_lc * per_lc + N_FEASIBILITY * n_panels
 
 
@@ -168,13 +163,11 @@ class ConstraintLayout:
     """Where each block of the constraint vector lies, for one configuration.
 
     blocks maps (load case, category) to the slice of that block, in row
-    order; the design-only block uses load case -1.  regions holds the
-    buckling region ids in the order of their rows.
+    order; the design-only block uses load case -1.
     """
 
     blocks: dict
     size: int
-    regions: tuple[int, ...]
 
     def mask_for(self, level: str) -> np.ndarray:
         """Rows the given level evaluates, by AVAILABILITY."""
@@ -188,10 +181,8 @@ class ConstraintLayout:
 
     @classmethod
     def build(cls, defn: WingDefinition, n_loadcases: int) -> "ConstraintLayout":
-        regions = tuple(sorted(set(defn.zone_regions)))
         per_lc = (
             ("tw", N_TSAI_WU * defn.n_panels),
-            ("b", N_BUCKLING * len(regions)),
             ("ds", N_STABILITY),
             ("ae", 1),
             ("AoA", 2 * len(defn.aoa_stations)),
@@ -203,7 +194,7 @@ class ConstraintLayout:
         for key, n in lengths:
             blocks[key] = slice(start, start + n)
             start += n
-        return cls(blocks=blocks, size=start, regions=regions)
+        return cls(blocks=blocks, size=start)
 
 
 @dataclass
@@ -332,15 +323,14 @@ class WingAnalysis:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x) -> ModelOutputs:
-        x = np.asarray(x, dtype=float)
-        model = self.build_model(x)
+        panels = unpack_design(x, self.definition.n_panels)
+        model = build_wing_model(self.definition, panels, self.fidelity)
         lay = self.layout
         mask = self._mask
         c = np.full(lay.size, np.nan)
         nonsmooth = np.zeros(lay.size, dtype=bool)
         details: dict = {}
 
-        panels = unpack_design(x, self.definition.n_panels)
         sl = lay.rows(-1, "feas")
         c[sl] = np.concatenate([feasibility_residuals(p.lp) for p in panels])
 
@@ -357,7 +347,7 @@ class WingAnalysis:
         lay = self.layout
         beam = model.beam
         _, ops, ail_ops = self.operators(i_lc)
-        res, loads = self.trim(model, i_lc)
+        res, _ = self.trim(model, i_lc)
 
         if self._have("tw"):
             sec, bay = model.sections, model.element_bay
@@ -368,24 +358,6 @@ class WingAnalysis:
             c[lay.rows(i_lc, "tw")] = np.concatenate(
                 [pad_critical(w[i], N_TSAI_WU) for i in model.structure.panel_stations]
             )
-
-        if self._have("b"):
-            buck = beam.buckling(loads, n_modes=N_BUCKLING * len(lay.regions) + 8)
-            elem_region = model.element_region()
-            per_region = {r: [] for r in lay.regions}
-            for k in range(buck.factors.size):
-                energies = beam.element_strain_energy(buck.shapes[:, k])
-                per_region[elem_region[int(np.argmax(energies))]].append(
-                    1.0 - buck.factors[k]
-                )
-            sl = lay.rows(i_lc, "b")
-            c[sl] = np.concatenate(
-                [pad_critical(per_region[r], N_BUCKLING) for r in lay.regions]
-            )
-            if buck.factors.size > 1:
-                gaps = np.diff(buck.factors)
-                if np.any(gaps < 1e-6 * np.abs(buck.factors[:-1])):
-                    nonsmooth[sl] = True
 
         if self._have("ds"):
             stab = dynamic_stability(beam, ops, shapes=False)

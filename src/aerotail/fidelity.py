@@ -12,12 +12,12 @@ stays symmetric positive definite.
 
 Wing layout: the span splits into rib bays; every bay takes a prismatic box
 section evaluated at its mid-span chord.  Spanwise zones group bays; each
-zone assigns one design panel per box wall and one buckling region.  Beam
-nodes sit on the elastic axis, the chordwise center of the box.
+zone assigns one design panel per box wall.  Beam nodes sit on the elastic
+axis, the chordwise center of the box.
 
 Built once per definition and level (`WingStructure`): bay box geometry,
 the bay -> panel map, the knockdown, nodes, element geometry and assembly
-indices, region map, wall areas and the vortex lattice.  Built per design
+indices, wall areas and the vortex lattice.  Built per design
 (`build_wing_model`): one condensed membrane per design panel, then every
 bay's C and M, the element matrices and the assembled K and M as batched
 array expressions.
@@ -51,9 +51,8 @@ class WingDefinition:
     """Fidelity-independent wing description.
 
     zone_bounds are span fractions delimiting the panel zones; wall_panels
-    maps every zone's four walls to design panel indices, and zone_regions
-    assigns each zone a buckling region id.  aoa_stations are the span
-    fractions where the local incidence constraint is sampled.
+    maps every zone's four walls to design panel indices.  aoa_stations are
+    the span fractions where the local incidence constraint is sampled.
     """
 
     planform: Planform
@@ -63,7 +62,6 @@ class WingDefinition:
     material: MaterialProperties
     zone_bounds: tuple[float, ...]
     wall_panels: tuple[dict, ...]
-    zone_regions: tuple[int, ...]
     aoa_stations: tuple[float, ...]
     aileron: AileronDef | None = None
     supported_mass: float = 0.0
@@ -82,8 +80,8 @@ class WingDefinition:
         zb = np.asarray(self.zone_bounds, dtype=float)
         if zb[0] != 0.0 or zb[-1] != 1.0 or np.any(np.diff(zb) <= 0):
             raise ValueError("zone bounds must ascend from 0 to 1")
-        if len(self.wall_panels) != zb.size - 1 or len(self.zone_regions) != zb.size - 1:
-            raise ValueError("one wall map and one region id per zone")
+        if len(self.wall_panels) != zb.size - 1:
+            raise ValueError("one wall map per zone")
         for wm in self.wall_panels:
             if set(wm) != set(WALL_NAMES):
                 raise ValueError(f"wall map must name exactly {WALL_NAMES}")
@@ -97,10 +95,6 @@ class WingDefinition:
     @property
     def n_panels(self) -> int:
         return 1 + max(int(i) for wm in self.wall_panels for i in wm.values())
-
-    @property
-    def n_regions(self) -> int:
-        return len(set(self.zone_regions))
 
     @property
     def n_variables(self) -> int:
@@ -140,10 +134,9 @@ class WingStructure:
     Bay box geometry (wall tangents, lengths, enclosed areas, Gauss points),
     the (n_bays, 4) bay -> panel map in contour order, the per-bay knockdown
     congruence, beam nodes, element geometry and assembly indices, point
-    masses, the element -> region map, the wall-area table behind the mass
-    thickness gradient, the Tsai-Wu stations of every panel, and the vortex
-    lattice.  Built once per definition and level by `wing_structure`;
-    `build` adds a design.
+    masses, the wall-area table behind the mass thickness gradient, the
+    Tsai-Wu stations of every panel, and the vortex lattice.  Built once per
+    definition and level by `wing_structure`; `build` adds a design.
     """
 
     def __init__(self, defn: WingDefinition, fid: FidelityConfig):
@@ -172,8 +165,6 @@ class WingStructure:
         self.point_masses = tuple(
             PointMass(node=int(round(frac * n_elem)), mass=m) for frac, m in fid.extra_masses
         )
-        zones = np.array([defn.bay_zone(b) for b in self.element_bay])
-        self.element_region = np.asarray(defn.zone_regions)[zones]
         edge_pts = np.column_stack([defn.elastic_axis_x(bay_edges), bay_edges])
         self.bay_axis_length = np.linalg.norm(np.diff(edge_pts, axis=0), axis=1)
 
@@ -187,8 +178,8 @@ class WingStructure:
         self.panel_stations = tuple(
             np.flatnonzero(station_panel == p) for p in range(defn.n_panels)
         )
-        for a in (self.bay_panel, self.knockdown, self.element_bay, self.element_region,
-                  self.bay_axis_length, self.thickness_gradient):
+        for a in (self.bay_panel, self.knockdown, self.element_bay, self.bay_axis_length,
+                  self.thickness_gradient):
             a.flags.writeable = False
 
     def build(self, panels: list[PanelDesign]) -> "WingModel":
@@ -247,9 +238,6 @@ class WingModel:
 
     def mass_with_fixed(self) -> float:
         return self.structural_mass() + self.definition.fixed_mass
-
-    def element_region(self) -> np.ndarray:
-        return self.structure.element_region
 
 
 def _knockdown(kappa: float) -> np.ndarray:

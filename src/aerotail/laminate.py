@@ -12,6 +12,7 @@ plain thickness average, the bending set the z^2-weighted average.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "ABDMatrices",
     "lp_from_stack",
     "abd_from_lp",
+    "membrane_stiffness",
     "feasibility_residuals",
     "feasibility_gradient",
     "tsai_wu_factor",
@@ -168,14 +170,40 @@ def lp_from_stack(angles) -> LaminationParameters:
     return LaminationParameters(xi_a, xi_d)
 
 
+@functools.lru_cache(maxsize=8)  # a run uses one material; read-only results
 def _gamma_matrices(material: MaterialProperties):
+    """Invariant matrices G0..G4 of the ply material, built once per material."""
     u1, u2, u3, u4, u5 = material.invariants()
     g0 = np.array([[u1, u4, 0.0], [u4, u1, 0.0], [0.0, 0.0, u5]])
     g1 = np.array([[u2, 0.0, 0.0], [0.0, -u2, 0.0], [0.0, 0.0, 0.0]])
     g2 = np.array([[u3, -u3, 0.0], [-u3, u3, 0.0], [0.0, 0.0, -u3]])
     g3 = np.array([[0.0, 0.0, u2 / 2], [0.0, 0.0, u2 / 2], [u2 / 2, u2 / 2, 0.0]])
     g4 = np.array([[0.0, 0.0, u3], [0.0, 0.0, -u3], [u3, -u3, 0.0]])
+    for g in (g0, g1, g2, g3, g4):
+        g.flags.writeable = False
     return g0, g1, g2, g3, g4
+
+
+def _stiffness(xi, g) -> np.ndarray:
+    """G0 + sum_k xi_k G_k, accumulated in k order."""
+    out = g[0].copy()
+    for k in range(4):
+        out += xi[k] * g[k + 1]
+    return out
+
+
+def membrane_stiffness(design: PanelDesign, material: MaterialProperties) -> np.ndarray:
+    """The A matrix alone, t * (G0 + sum_k xiA_k G_k).
+
+    Like abd_from_lp it rejects t <= 0 and any of the eight lamination
+    parameters outside [-1, 1], although xiD does not enter A.
+    """
+    t = design.thickness
+    if t <= 0.0:
+        raise ValueError("thickness must be positive")
+    if np.any(np.abs(design.lp.as_vector()) > 1.0 + 1e-12):
+        raise ValueError("lamination parameters outside [-1, 1]")
+    return t * _stiffness(design.lp.xiA, _gamma_matrices(material))
 
 
 def abd_from_lp(design: PanelDesign, material: MaterialProperties) -> ABDMatrices:
@@ -184,20 +212,9 @@ def abd_from_lp(design: PanelDesign, material: MaterialProperties) -> ABDMatrice
     A = t * (G0 + sum_k xiA_k G_k), D = t^3/12 * (G0 + sum_k xiD_k G_k),
     with G_k the invariant matrices of the ply material.
     """
-    t = design.thickness
-    if t <= 0.0:
-        raise ValueError("thickness must be positive")
-    lp = design.lp
-    if np.any(np.abs(lp.as_vector()) > 1.0 + 1e-12):
-        raise ValueError("lamination parameters outside [-1, 1]")
-    g0, g1, g2, g3, g4 = _gamma_matrices(material)
-    gs = (g1, g2, g3, g4)
-    a = g0.copy()
-    d = g0.copy()
-    for k in range(4):
-        a += lp.xiA[k] * gs[k]
-        d += lp.xiD[k] * gs[k]
-    return ABDMatrices(A=t * a, D=t**3 / 12.0 * d)
+    a = membrane_stiffness(design, material)
+    d = _stiffness(design.lp.xiD, _gamma_matrices(material))
+    return ABDMatrices(A=a, D=design.thickness**3 / 12.0 * d)
 
 
 def _moment_set_residuals(xi: np.ndarray) -> np.ndarray:

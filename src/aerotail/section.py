@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laminate import MaterialProperties, PanelDesign, abd_from_lp
+from .laminate import MaterialProperties, PanelDesign, membrane_stiffness
 
 # 3-point Gauss rule on [0, 1]; integrands here are at most quadratic
 _GAUSS_XI = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
@@ -47,7 +47,7 @@ def condensed_membrane(design: PanelDesign, material: MaterialProperties) -> np.
 
     Returns the symmetric 2x2 matrix acting on (eps_xx, gam_xs).
     """
-    a = abd_from_lp(design, material).A
+    a = membrane_stiffness(design, material)
     a11, a12, a22, a16, a26, a66 = a[0, 0], a[0, 1], a[1, 1], a[0, 2], a[1, 2], a[2, 2]
     if a22 <= 0.0:
         raise ValueError("membrane stiffness is not positive definite")

@@ -99,7 +99,6 @@ def toy_wing(supported_mass: float) -> WingDefinition:
         material=CFRP,
         zone_bounds=(0.0, 1.0),
         wall_panels=({"upper": 0, "lower": 0, "front": 1, "rear": 1},),
-        zone_regions=(0,),
         aoa_stations=(0.4, 0.9),
         aileron=AileronDef(y_start=2.4, y_end=3.8),
         supported_mass=supported_mass,
@@ -334,7 +333,7 @@ def test_constraint_gradients_match_central_differences():
     eigen_rows = np.zeros(lay.size, dtype=bool)
     closed_rows = np.zeros(lay.size, dtype=bool)
     for (_, cat), sl in lay.blocks.items():
-        eigen_rows[sl] = cat in ("b", "ds")
+        eigen_rows[sl] = cat == "ds"
         closed_rows[sl] = cat == "feas"
 
     rng = np.random.default_rng(7)
@@ -502,7 +501,6 @@ def test_constraint_layout_length_and_bit_determinism():
             {"upper": 0, "lower": 0, "front": 1, "rear": 1},
             {"upper": 2, "lower": 2, "front": 3, "rear": 3},
         ),
-        zone_regions=(0, 1),
         aoa_stations=(0.3, 0.6, 0.9),
         aileron=AileronDef(y_start=3.6, y_end=5.4),
         supported_mass=200.0,
@@ -525,7 +523,6 @@ def test_constraint_layout_length_and_bit_determinism():
         material=CFRP,
         zone_bounds=(0.0, 1.0),
         wall_panels=({"upper": 0, "lower": 0, "front": 0, "rear": 0},),
-        zone_regions=(0,),
         aoa_stations=(0.5,),
         aileron=AileronDef(y_start=3.6, y_end=5.4),
         supported_mass=120.0,
@@ -539,9 +536,7 @@ def test_constraint_layout_length_and_bit_determinism():
         (defn_c, [lc, lc2, lc3], x_c),
     ):
         ana = make_lf(defn, lcs, cfg)
-        n = constraint_length(
-            len(lcs), defn.n_panels, defn.n_regions, len(defn.aoa_stations)
-        )
+        n = constraint_length(len(lcs), defn.n_panels, len(defn.aoa_stations))
         assert ana.layout.size == n
         assert ana.evaluate(x).c.size == n
 

@@ -260,8 +260,15 @@ class TestOptimize:
         assert doc["n_hf_evals"] <= 2
         assert len(doc["x_best"]) == 18
         assert doc["f_best"] > 0.0
-        assert os.path.exists(os.path.join(out, "optimize_trace.csv"))
         assert os.path.exists(os.path.join(out, "optimize_trace.svg"))
+        with open(os.path.join(out, "optimize_trace.csv"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "index,f_hf,violation,delta,rho,accepted,restoration"
+        assert len(lines) == 1 + len(doc["trace"])
+        for line, entry in zip(lines[1:], doc["trace"]):
+            cells = line.split(",")
+            assert cells[5] == str(int(entry["accepted"]))
+            assert cells[6] == str(int(entry["restoration"]))
 
     def test_solve_counters_include_gradient_probes(self, tmp_path):
         out = str(tmp_path / "o")

@@ -41,7 +41,6 @@ def small_definition():
         material=CFRP,
         zone_bounds=(0.0, 1.0),
         wall_panels=({"upper": 0, "lower": 0, "front": 1, "rear": 1},),
-        zone_regions=(0,),
         aoa_stations=(0.4, 0.9),
         aileron=AileronDef(y_start=2.4, y_end=3.8),
         supported_mass=150.0,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import aerotail
+from aerotail.cli import EXIT_CONFIG, main
 from aerotail.config import ConfigError, OptimizerSettings, config_schema, load_config
 from aerotail.laminate import lp_from_stack
 from aerotail.mfopt import trmm_optimize
@@ -150,6 +151,18 @@ class TestRejection:
         doc["optimizer"][key] = 0.5
         with pytest.raises(ConfigError, match="schema violation at optimizer"):
             load_config(write_config(doc))
+
+    @pytest.mark.parametrize(
+        "section, key, value", [("structure", "zone_regions", [0])], ids=["zone_regions"]
+    )
+    def test_removed_key_rejected(self, write_config, capsys, section, key, value):
+        doc = toy_doc()
+        doc[section][key] = value
+        path = write_config(doc)
+        with pytest.raises(ConfigError, match=f"schema violation at {section}"):
+            load_config(path)
+        assert main(["validate-config", "--config", path]) == EXIT_CONFIG
+        assert f"schema violation at {section}" in capsys.readouterr().err
 
     def test_panel_needs_exactly_one_design_form(self, write_config):
         doc = toy_doc()

@@ -53,14 +53,14 @@ def toy_x():
 
 class TestLayout:
     def test_length_formula_three_configurations(self):
-        for n_lc, n_p, n_r, n_s in [(1, 2, 1, 2), (2, 16, 4, 5), (3, 4, 2, 3)]:
-            expected = n_lc * (8 * n_p + 8 * n_r + 10 + 1 + 2 * n_s) + 6 * n_p
-            assert constraint_length(n_lc, n_p, n_r, n_s) == expected
+        for n_lc, n_p, n_s in [(1, 2, 2), (2, 16, 5), (3, 4, 3)]:
+            expected = n_lc * (8 * n_p + 10 + 1 + 2 * n_s) + 6 * n_p
+            assert constraint_length(n_lc, n_p, n_s) == expected
 
     def test_layout_matches_formula_and_partitions(self):
         defn = small_definition()
         lay = ConstraintLayout.build(defn, 2)
-        assert lay.size == constraint_length(2, 2, 1, 2)
+        assert lay.size == constraint_length(2, 2, 2)
         # blocks tile the vector exactly, in declaration order
         covered = np.zeros(lay.size, dtype=int)
         for sl in lay.blocks.values():
@@ -71,18 +71,16 @@ class TestLayout:
         assert starts == [0] + stops[:-1] and stops[-1] == lay.size
 
     def test_metadata_content(self):
-        defn = small_definition()  # 2 panels, 1 region, 2 stations
+        defn = small_definition()  # 2 panels, 2 stations
         lay = ConstraintLayout.build(defn, 1)
         expected = [
             ((0, "tw"), 8 * 2),
-            ((0, "b"), 8 * 1),
             ((0, "ds"), 10),
             ((0, "ae"), 1),
             ((0, "AoA"), 2 * 2),
             ((-1, "feas"), 6 * 2),
         ]
         assert [(key, sl.stop - sl.start) for key, sl in lay.blocks.items()] == expected
-        assert lay.regions == (0,)
         for key, sl in lay.blocks.items():
             assert lay.rows(*key) == sl
 
@@ -178,9 +176,6 @@ class TestEvaluate:
         assert np.sum(tw == CRITICAL_PAD_SENTINEL) == 4
         live = tw[tw != CRITICAL_PAD_SENTINEL]
         assert live.size == 12 and np.all(live > CRITICAL_PAD_SENTINEL)
-        # transverse lift produces no axial prestress, so no buckling factors
-        b = out.c[ana.layout.rows(0, "b")]
-        assert np.all(b == CRITICAL_PAD_SENTINEL)
 
     def test_stability_rows_sorted_most_critical_first(self):
         ana = toy_analysis("LF")
@@ -216,12 +211,12 @@ class TestEvaluate:
     def test_two_load_cases_double_per_case_blocks(self):
         ana1 = toy_analysis("LF", loadcases=(LC,))
         ana2 = toy_analysis("LF", loadcases=(LC, LC))
-        per_lc = 8 * 2 + 8 * 1 + 10 + 1 + 2 * 2
+        per_lc = 8 * 2 + 10 + 1 + 2 * 2
         assert ana2.n_constraints - ana1.n_constraints == per_lc
         # identical load cases produce identical blocks
         out = ana2.evaluate(toy_x())
         lay = ana2.layout
-        for cat in ("tw", "b", "ds", "ae", "AoA"):
+        for cat in ("tw", "ds", "ae", "AoA"):
             assert np.array_equal(out.c[lay.rows(0, cat)], out.c[lay.rows(1, cat)])
 
     def test_ae_requires_aileron_on_lf_only(self):
@@ -234,7 +229,6 @@ class TestEvaluate:
             material=defn.material,
             zone_bounds=defn.zone_bounds,
             wall_panels=defn.wall_panels,
-            zone_regions=defn.zone_regions,
             aoa_stations=defn.aoa_stations,
             aileron=None,
         )
@@ -291,10 +285,13 @@ class TestGradients:
             assert np.allclose(grad.grad_c[rows, j], fd, rtol=2e-4, atol=1e-7)
 
     def test_sentinel_rows_have_zero_gradient(self):
+        # 6 live Tsai-Wu values per panel: the last 2 of each panel's 8 are padding
         ana = toy_analysis("LF")
         grad = ana.gradients(toy_x())
-        sl = ana.layout.rows(0, "b")
-        assert np.all(grad.grad_c[sl] == 0.0)
+        tw = ana.evaluate(toy_x()).c[ana.layout.rows(0, "tw")]
+        padded = np.flatnonzero(tw == CRITICAL_PAD_SENTINEL) + ana.layout.rows(0, "tw").start
+        assert padded.size == 4
+        assert np.all(grad.grad_c[padded] == 0.0)
 
     def test_hf_gradient_nan_on_unavailable_rows(self):
         ana = toy_analysis("HF", cfg=FidelityConfig(mesh_factor=2, lattice_ny=8))
@@ -366,6 +363,29 @@ class TestStructuralZeros:
             assert np.array_equal(grad.nonsmooth, ref_flags)
             assert np.array_equal(grad.grad_f, ana.mass_gradient(x))
             assert grad.n_evaluates == 2 * len(PROBED_ENTRIES) * 2  # two panels
+
+
+class TestNoBeamBuckling:
+    """Why the stack has no beam-buckling rows: nodes in z = 0 and trimmed
+    loads that are only Fz, Mx and My leave the cantilever without axial
+    force.  A dihedral or a drag load breaks this, and then the rows are real.
+    """
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_trimmed_loads_give_no_buckling_factor(self, name, level):
+        cfg, analyses = shipped(name)
+        ana = analyses[level]
+        for x in (cfg.initial_design(), seeded_design(cfg, 1)):
+            model = ana.build_model(x)
+            beam = model.beam
+            assert np.all(beam.nodes[:, 2] == 0.0)
+            for i_lc in range(len(ana.loadcases)):
+                _, loads = ana.trim(model, i_lc)
+                assert np.all(loads[0::6] == 0.0)  # Fx
+                assert np.all(loads[1::6] == 0.0)  # Fy
+                assert np.all(loads[5::6] == 0.0)  # Mz
+                assert beam.buckling(loads).factors.size == 0
 
 
 class TestStabilityRows:

@@ -57,7 +57,6 @@ def small_definition(n_bays=3):
         material=CFRP,
         zone_bounds=(0.0, 1.0),
         wall_panels=({"upper": 0, "lower": 0, "front": 1, "rear": 1},),
-        zone_regions=(0,),
         aoa_stations=(0.4, 0.9),
         aileron=AileronDef(y_start=2.4, y_end=3.8),
         supported_mass=150.0,
@@ -101,7 +100,7 @@ class TestGeometry:
         assert np.allclose(model.beam.nodes[:, 0], x_expected, atol=1e-14)
         assert np.allclose(model.beam.nodes[:, 2], 0.0)
 
-    def test_element_bay_and_region_maps(self):
+    def test_element_bay_map(self):
         defn = WingDefinition(
             planform=Planform(semi_span=4.0, root_chord=1.0, tip_chord=0.6),
             n_bays=4,
@@ -113,14 +112,12 @@ class TestGeometry:
                 {"upper": 0, "lower": 0, "front": 1, "rear": 1},
                 {"upper": 2, "lower": 2, "front": 3, "rear": 3},
             ),
-            zone_regions=(0, 1),
             aoa_stations=(0.5,),
         )
         panels = small_panels() + small_panels()
         model = build_wing_model(defn, panels, FidelityConfig(mesh_factor=2))
         assert np.array_equal(model.element_bay, [0, 0, 1, 1, 2, 2, 3, 3])
-        assert np.array_equal(model.element_region(), [0, 0, 0, 0, 1, 1, 1, 1])
-        assert defn.n_panels == 4 and defn.n_regions == 2
+        assert defn.n_panels == 4
 
     def test_sections_taper_with_chord(self):
         defn = small_definition()
@@ -153,7 +150,6 @@ class TestKnockdown:
             material=CFRP,
             zone_bounds=(0.0, 1.0),
             wall_panels=({"upper": 0, "lower": 0, "front": 1, "rear": 1},),
-            zone_regions=(0,),
             aoa_stations=(0.5,),
         )
         lf = build_wing_model(defn, small_panels(), FidelityConfig())
@@ -178,7 +174,6 @@ class TestKnockdown:
             material=CFRP,
             zone_bounds=(0.0, 1.0),
             wall_panels=({"upper": 0, "lower": 0, "front": 1, "rear": 1},),
-            zone_regions=(0,),
             aoa_stations=(0.5,),
         )
         lf = build_wing_model(defn, small_panels(), FidelityConfig())
@@ -329,7 +324,6 @@ class TestValidation:
                 material=CFRP,
                 zone_bounds=(0.1, 1.0),
                 wall_panels=({"upper": 0, "lower": 0, "front": 1, "rear": 1},),
-                zone_regions=(0,),
                 aoa_stations=(0.5,),
             )
 
@@ -343,7 +337,6 @@ class TestValidation:
                 material=CFRP,
                 zone_bounds=(0.0, 1.0),
                 wall_panels=({"upper": 0, "lower": 0, "front": 1},),
-                zone_regions=(0,),
                 aoa_stations=(0.5,),
             )
 
@@ -357,7 +350,6 @@ class TestValidation:
                 material=CFRP,
                 zone_bounds=(0.0, 1.0),
                 wall_panels=({"upper": 0, "lower": 0, "front": 2, "rear": 2},),
-                zone_regions=(0,),
                 aoa_stations=(0.5,),
             )
 

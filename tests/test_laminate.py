@@ -11,6 +11,7 @@ from aerotail.laminate import (
     feasibility_gradient,
     feasibility_residuals,
     lp_from_stack,
+    membrane_stiffness,
     tsai_wu_coefficients,
     tsai_wu_factor,
 )
@@ -102,6 +103,7 @@ class TestABD:
             abd = abd_from_lp(PanelDesign(lp, t), CFRP)
             a_ref, d_ref = clt_direct(CFRP, half, CFRP.ply_thickness)
             assert np.allclose(abd.A, a_ref, rtol=1e-10, atol=1e-10 * abs(a_ref).max())
+            assert np.array_equal(membrane_stiffness(PanelDesign(lp, t), CFRP), abd.A)
             assert np.allclose(abd.D, d_ref, rtol=1e-10, atol=1e-10 * abs(d_ref).max())
 
     def test_all_zero_a11_is_q11(self):
@@ -140,6 +142,17 @@ class TestABD:
         bad = LaminationParameters(np.array([1.5, 0, 0, 0]), np.zeros(4))
         with pytest.raises(ValueError):
             abd_from_lp(PanelDesign(bad, 1e-3), CFRP)
+
+    def test_membrane_stiffness_checks_every_parameter(self):
+        # xiD does not enter A, but an out-of-range xiD is still rejected
+        bad = LaminationParameters(np.zeros(4), np.array([0.0, 0.0, -1.5, 0.0]))
+        for fn in (membrane_stiffness, abd_from_lp):
+            with pytest.raises(ValueError, match="outside"):
+                fn(PanelDesign(bad, 1e-3), CFRP)
+            design = PanelDesign(LaminationParameters(np.zeros(4), np.zeros(4)), 1e-3)
+            object.__setattr__(design, "thickness", 0.0)  # past PanelDesign's own check
+            with pytest.raises(ValueError, match="thickness"):
+                fn(design, CFRP)
 
 
 class TestFeasibility:
