@@ -356,28 +356,22 @@ def solve_subproblem(
     def violation(x):
         return float(np.max(con_values(x))) if rows.size else 0.0
 
-    # SLSQP exit flags are unreliable near tight tolerances; judge the point
-    # by feasibility alone and let the trust-region ratio test police the
-    # rest.  A moved but infeasible candidate warm-starts one more try,
-    # which resets the Hessian estimate; a candidate that stopped moving
-    # goes to restoration.
-    z = x_center
-    for _ in range(3):
-        res = scipy.optimize.minimize(
-            objective,
-            z,
-            jac=lambda x: corr.corrected_grad_f(lf.gradients(x).grad_f),
-            bounds=bounds,
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": 200, "ftol": 1e-10},
-        )
-        candidate = np.clip(res.x, lo, hi)
-        if violation(candidate) <= SUBPROBLEM_TOL:
-            return candidate, False
-        if np.allclose(candidate, z, rtol=0.0, atol=1e-14):
-            break
-        z = candidate
+    # One SLSQP run from the center.  Its exit flags are unreliable near
+    # tight tolerances (it often stops on a line-search failure), so judge
+    # the candidate by feasibility alone and let the trust-region ratio test
+    # police the rest.  An infeasible candidate starts restoration.
+    res = scipy.optimize.minimize(
+        objective,
+        x_center,
+        jac=lambda x: corr.corrected_grad_f(lf.gradients(x).grad_f),
+        bounds=bounds,
+        constraints=constraints,
+        method="SLSQP",
+        options={"maxiter": 200, "ftol": 1e-10},
+    )
+    candidate = np.clip(res.x, lo, hi)
+    if violation(candidate) <= SUBPROBLEM_TOL:
+        return candidate, False
 
     # restoration: drive the violation down inside the same region
     def infeasibility(x):
@@ -390,7 +384,7 @@ def solve_subproblem(
 
     res_r = scipy.optimize.minimize(
         infeasibility,
-        z,
+        candidate,
         jac=infeasibility_jac,
         bounds=bounds,
         method="SLSQP",
@@ -448,11 +442,12 @@ def trmm_optimize(
     both, lf_only, hf_only = partition_rows(lf_out.mask, mask_hf)
     acceptance_rows = np.concatenate([both, hf_only])
 
-    def merit(f, c_hf, c_lf):
-        v = max(_violation(_clip(c_hf), acceptance_rows), _violation(_clip(c_lf), lf_only))
+    def merit(f, c, rows, c_lf):
+        """Merit and worst violation: rows of c, plus the LF passthrough rows of c_lf."""
+        v = max(_violation(_clip(c), rows), _violation(_clip(c_lf), lf_only))
         return f + MERIT_WEIGHT * v, v
 
-    m0, v0 = merit(hf_out.f, hf_out.c, lf_out.c)
+    m0, v0 = merit(hf_out.f, hf_out.c, acceptance_rows, lf_out.c)
     trace = [TraceEntry(x=x0.copy(), f_hf=hf_out.f, violation=v0, delta=DELTA_INIT,
                         rho=np.nan, accepted=True)]
     if budget <= 1:
@@ -497,14 +492,11 @@ def trmm_optimize(
             continue
 
         # model merit at the candidate (corrected LF)
-        fm = corr.corrected_f(lf_cand.f, cand)
-        cm = corr.corrected_c(lf_cand.c, cand)
-        m_model_cand = fm + MERIT_WEIGHT * max(
-            _violation(_clip(cm), both), _violation(_clip(lf_cand.c), lf_only)
-        )
+        m_model_cand, _ = merit(corr.corrected_f(lf_cand.f, cand),
+                                corr.corrected_c(lf_cand.c, cand), both, lf_cand.c)
         predicted = m_center - m_model_cand
         nonsmooth += int(np.any(hf_cand.nonsmooth))
-        m_cand, v_cand = merit(hf_cand.f, hf_cand.c, lf_cand.c)
+        m_cand, v_cand = merit(hf_cand.f, hf_cand.c, acceptance_rows, lf_cand.c)
         actual = m_center - m_cand
         rho = actual / predicted if predicted > 1e-16 else (-1.0 if actual <= 0 else 1.0)
 

@@ -97,6 +97,17 @@ class TestStatic:
         c = static_aeroelastic(self.model, self.ops, flow0, extra_loads=f_pt)
         assert np.allclose(b.u, a.u + c.u, atol=1e-12 + 1e-9 * np.abs(a.u).max())
 
+    def test_fixed_and_trimmed_solves_take_one_step(self):
+        fixed = static_aeroelastic(self.model, self.ops, self.flow)
+        trimmed = static_aeroelastic(self.model, self.ops, self.flow, trim_lift=5.0e3)
+        assert fixed.iterations == 1 and trimmed.iterations == 1
+
+    @pytest.mark.parametrize("trim_lift", [None, 5.0e3])
+    def test_missed_equilibrium_raises(self, monkeypatch, trim_lift):
+        monkeypatch.setattr(aeroelastic, "_TRIM_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="equilibrium"):
+            static_aeroelastic(self.model, self.ops, self.flow, trim_lift=trim_lift)
+
 
 class TestDivergence:
     def test_det_sign_flips_at_factor(self):

@@ -1,9 +1,14 @@
 """Trust-region model management: corrections, subproblems, the full loop."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+import aerotail
+from aerotail import mfopt
+from aerotail.config import load_config
 from aerotail.mfopt import (
     AnalyticModel,
     build_correction,
@@ -12,6 +17,9 @@ from aerotail.mfopt import (
     trmm_optimize,
     verify_consistency,
 )
+
+
+TOY = os.path.join(os.path.dirname(aerotail.__file__), "data", "toy_two_panel.json")
 
 
 def merit_of(entry, weight=100.0):
@@ -213,3 +221,31 @@ class TestLoop:
         for e_prev, e in zip(rep.trace, rep.trace[1:]):
             if np.isnan(e.f_hf):
                 assert e.delta < e_prev.delta
+
+
+class TestSubproblem:
+    def test_one_slsqp_run_plus_restoration_per_subproblem(self, monkeypatch):
+        # the toy wing's budget-3 run from the shipped start, as the benchmark runs it
+        cfg = load_config(TOY)
+        lf, hf = cfg.analyses()
+        runs = []  # per solve_subproblem call: [SLSQP runs, restored]
+        real_minimize = mfopt.scipy.optimize.minimize
+        real_solve = mfopt.solve_subproblem
+
+        def minimize(*args, **kwargs):
+            runs[-1][0] += 1
+            return real_minimize(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            runs.append([0, None])
+            cand, restored = real_solve(*args, **kwargs)
+            runs[-1][1] = restored
+            return cand, restored
+
+        monkeypatch.setattr(mfopt.scipy.optimize, "minimize", minimize)
+        monkeypatch.setattr(mfopt, "solve_subproblem", solve)
+        rep = trmm_optimize(lf, hf, cfg.initial_design(), budget=3, max_iter=30)
+        assert runs
+        assert sum(restored for _, restored in runs) == rep.restorations
+        for n_runs, restored in runs:
+            assert n_runs == 1 + int(restored)
