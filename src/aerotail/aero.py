@@ -20,7 +20,7 @@ quasi-steady damping term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -245,17 +245,74 @@ def coupling_maps(lattice: Lattice, nodes: np.ndarray) -> tuple[np.ndarray, np.n
     return t_load, t_wash, t_vel
 
 
+def lift_indicator(n_dof: int) -> np.ndarray:
+    """Row that sums the z forces of a nodal load vector: total lift."""
+    s = np.zeros(n_dof)
+    s[2::6] = 1.0
+    return s
+
+
+@dataclass(frozen=True)
+class Support:
+    """Nonzero rows and columns of an operator on beam dofs, and its block there."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    block: np.ndarray
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> "Support":
+        nonzero = a != 0.0
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        return cls(rows=rows, cols=cols, block=a[np.ix_(rows, cols)])
+
+    def project(self, shapes: np.ndarray) -> np.ndarray:
+        """shapes' A shapes for shapes on every beam dof, reading only the support."""
+        return shapes[self.rows].T @ self.block @ shapes[self.cols]
+
+
+def wash_rows(t_wash: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of T_wash and the 0/1 map placing them: T_wash = group @ wash.
+
+    Panels of one spanwise strip share their row, so an aero stiffness
+    A W^-1 T_wash factors exactly as (A W^-1 group) wash, of rank at most
+    the number of strips.
+    """
+    strip_of: dict[bytes, int] = {}
+    strip = np.array([strip_of.setdefault(row.tobytes(), len(strip_of)) for row in t_wash])
+    first = np.unique(strip, return_index=True)[1]
+    return t_wash[first], np.eye(first.size)[strip]
+
+
 @dataclass
 class AeroOperators:
     """Linearized aerodynamic operators on beam degrees of freedom.
 
     f_aero(u, udot, alpha) = K_a u + D_a udot + f_alpha * alpha, all in
-    global beam dofs.
+    global beam dofs.  K_a = k_wash @ wash in exact arithmetic: wash maps
+    displacements to the incidence of each spanwise strip, k_wash a unit
+    strip incidence to nodal loads.  The design-independent pieces that the
+    solves reuse are derived once: the lift row z K_a and z f_alpha, and
+    the supports of K_a and D_a.
     """
 
     K_a: np.ndarray
     D_a: np.ndarray
     f_alpha: np.ndarray
+    k_wash: np.ndarray  # (n_dof, n_strips)
+    wash: np.ndarray  # (n_strips, n_dof)
+    lift_row: np.ndarray = field(init=False)  # lift per unit displacement, z K_a
+    lift_alpha: float = field(init=False)  # lift per unit incidence, z f_alpha
+    K_a_support: Support = field(init=False)
+    D_a_support: Support = field(init=False)
+
+    def __post_init__(self):
+        sz = lift_indicator(self.f_alpha.size)
+        self.lift_row = sz @ self.K_a
+        self.lift_alpha = sz @ self.f_alpha
+        self.K_a_support = Support.of(self.K_a)
+        self.D_a_support = Support.of(self.D_a)
 
 
 def aero_operators(lattice: Lattice, flow: FlowConditions, nodes: np.ndarray) -> AeroOperators:
@@ -269,4 +326,6 @@ def aero_operators(lattice: Lattice, flow: FlowConditions, nodes: np.ndarray) ->
     k_a = -flow.rho * flow.V**2 * load_scaled @ winv_wash
     d_a = flow.rho * flow.V * load_scaled @ winv_vel
     f_alpha = -flow.rho * flow.V**2 * load_scaled @ winv_one
-    return AeroOperators(K_a=k_a, D_a=d_a, f_alpha=f_alpha)
+    wash, group = wash_rows(t_wash)
+    k_wash = -flow.rho * flow.V**2 * load_scaled @ np.linalg.solve(w, group)
+    return AeroOperators(K_a=k_a, D_a=d_a, f_alpha=f_alpha, k_wash=k_wash, wash=wash)

@@ -14,10 +14,29 @@ structural modes.  Models with more than N_MODES free dofs solve it in
 modal coordinates: the lowest N_MODES mass-normalised structural modes
 span u, which turns the 2n-order state matrix into a 2 N_MODES one (the
 modal-coordinate flutter model of Hodges & Pierce, Introduction to
-Structural Dynamics and Aeroelasticity, 2011).  Smaller models are solved
-on their free dofs as they are.  Aileron effectiveness solves the
-antisymmetric-image problem, since a rolling control input loads the two
-half wings with opposite sign.
+Structural Dynamics and Aeroelasticity, 2011).  Aileron effectiveness
+solves the antisymmetric-image problem, since a rolling control input loads
+the two half wings with opposite sign.
+
+The same models take structured solves everywhere (`_modal` picks them):
+
+- K_ff is banded (half-bandwidth 11 on the shipped wings), so the model
+  factors it once in band form.
+- The aero stiffness has one column per spanwise strip, K_a = k_wash wash
+  (rank 12 and 24 against 174 and 348 free dofs on wing_default).  The trim
+  and the aileron apply K_ff^-1 to the right-hand side, f_alpha and k_wash,
+  and a capacitance system with one unknown per strip, bordered by the lift
+  row when trimmed, closes the update (the Woodbury identity; Hager, SIAM
+  Review, 1989).  That is not backward stable, so both solves check their
+  equilibrium residual.
+- In modal coordinates K and the Rayleigh damping are diagonal, so the
+  state matrix is Lambda - Phi' K_a Phi and a I + b Lambda - Phi' D_a Phi,
+  with Lambda the squared basis frequencies and the aero operators read
+  only on their support.
+
+Models up to N_MODES free dofs keep dense solves on their free dofs: on the
+toy wing, whose K_a has 3 and 6 support columns, the low-rank trim measured
+slower, and its optimizer trajectory forks on any last-bit change.
 """
 
 from __future__ import annotations
@@ -35,6 +54,8 @@ from .aero import (
     aero_operators,
     aic_matrix,
     coupling_maps,
+    lift_indicator,
+    wash_rows,
 )
 from .beam import BeamModel
 
@@ -44,15 +65,49 @@ _DEGENERATE_TOL = 1e-6
 ZETA = 0.005  # structural damping ratio at the two lowest modes
 N_MODES = 40  # structural modes spanning the stability problem of larger models
 N_STABILITY = 10  # leading state-matrix eigenvalues kept per stability solve
-_TRIM_TOL = 1e-10  # relative residual of the static equilibrium and the lift target
+_TRIM_TOL = 1e-10  # relative residual of the trim and aileron equilibria and the lift target
 FLUTTER_TOL = 1e-4  # relative width of the critical-speed bracket at return
 FLUTTER_MAX_ITER = 80  # bisection halvings before critical_speed gives up
 
 
-def _z_indicator(n_dof: int) -> np.ndarray:
-    s = np.zeros(n_dof)
-    s[2::6] = 1.0
-    return s
+def _modal(model: BeamModel) -> bool:
+    """True above N_MODES free dofs: the modal stability basis and structured solves."""
+    return model.free.size > N_MODES
+
+
+def _low_rank_solve(
+    model: BeamModel,
+    k_wash: np.ndarray,
+    wash: np.ndarray,
+    b: np.ndarray,
+    border: tuple | None = None,
+) -> tuple[np.ndarray, float]:
+    """Free-dof u with (K_ff - k_wash wash) u = b, by the Woodbury identity.
+
+    K_ff^-1 goes through the model's banded factor; the strip incidences
+    theta = wash u are the unknowns of the capacitance system.  border =
+    (c, l, d, t) adds an unknown s: (K_ff - k_wash wash) u - c s = b and
+    l u + d s = t, the trim's incidence and lift target.  Returns (u, s),
+    with s = 0.0 without a border.
+    """
+    free = model.free
+    w = wash[:, free]
+    m = w.shape[0]
+    if border is None:
+        y = model.kff_solve(np.column_stack([b, k_wash[free]]))
+        wy = w @ y
+        theta = scipy.linalg.solve(np.eye(m) - wy[:, 1:], wy[:, 0])
+        return y[:, 0] + y[:, 1:] @ theta, 0.0
+    c, l, d, t = border
+    y = model.kff_solve(np.column_stack([b, c, k_wash[free]]))
+    wy, ly = w @ y, l @ y
+    cap = np.empty((m + 1, m + 1))
+    cap[:m, :m] = np.eye(m) - wy[:, 2:]
+    cap[:m, m] = -wy[:, 1]
+    cap[m, :m] = ly[2:]
+    cap[m, m] = ly[1] + d
+    sol = scipy.linalg.solve(cap, np.r_[wy[:, 0], t - ly[0]])
+    return y[:, 0] + y[:, 2:] @ sol[:m] + y[:, 1] * sol[m], sol[m]
 
 
 @dataclass
@@ -76,13 +131,14 @@ def static_aeroelastic(
     aerodynamic lift of the modeled half wing is driven to that value.  The
     problem is linear in (u, alpha), so one solve from u = 0 gives the
     equilibrium: (K - K_a)_ff at fixed incidence, the same block bordered by
-    the lift row when trimmed.  The residuals of equilibrium and lift target
-    are then checked against _TRIM_TOL; a miss raises RuntimeError.
+    the lift row when trimmed; _modal models solve it by _low_rank_solve.
+    The residuals of equilibrium and lift target are then checked against
+    _TRIM_TOL; a miss raises RuntimeError.
     """
     n_dof = model.n_dof
     free = model.free
     extra = np.zeros(n_dof) if extra_loads is None else np.asarray(extra_loads, dtype=float)
-    sz = _z_indicator(n_dof)
+    sz = lift_indicator(n_dof)
     k = model.stiffness()
     trim = trim_lift is not None
     u = np.zeros(n_dof)
@@ -91,21 +147,26 @@ def static_aeroelastic(
     lift_scale = max(abs(trim_lift) if trim else 0.0, np.abs(ops.f_alpha).sum(), 1.0)
     force_scale = max(np.linalg.norm(f_rigid + extra), lift_scale)
 
-    tff = model.free_block(k - ops.K_a)
-    if trim:
+    rhs = (f_rigid + extra)[free]
+    if _modal(model):
+        border = None
+        if trim:
+            border = (ops.f_alpha[free], ops.lift_row[free], ops.lift_alpha,
+                      trim_lift - sz @ f_rigid)
+        u[free], d_alpha = _low_rank_solve(model, ops.k_wash, ops.wash, rhs, border)
+        alpha += d_alpha
+    elif trim:
         nf = free.size
         jac = np.zeros((nf + 1, nf + 1))
-        jac[:nf, :nf] = tff
+        jac[:nf, :nf] = model.free_block(k - ops.K_a)
         jac[:nf, nf] = -ops.f_alpha[free]
-        jac[nf, :nf] = (sz @ ops.K_a)[free]
-        jac[nf, nf] = sz @ ops.f_alpha
-        step = scipy.linalg.solve(
-            jac, np.concatenate([(f_rigid + extra)[free], [trim_lift - sz @ f_rigid]])
-        )
+        jac[nf, :nf] = ops.lift_row[free]
+        jac[nf, nf] = ops.lift_alpha
+        step = scipy.linalg.solve(jac, np.concatenate([rhs, [trim_lift - sz @ f_rigid]]))
         u[free] += step[:nf]
         alpha += step[nf]
     else:
-        u[free] += scipy.linalg.solve(tff, (f_rigid + extra)[free])
+        u[free] += scipy.linalg.solve(model.free_block(k - ops.K_a), rhs)
 
     f_aero = ops.K_a @ u + ops.f_alpha * alpha
     r_struct = (k @ u - f_aero - extra)[free]
@@ -133,14 +194,20 @@ def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
     return float(pos.min()) if pos.size else float("inf")
 
 
-def rayleigh_damping(model: BeamModel) -> np.ndarray:
-    """Mass plus stiffness proportional damping, ZETA at the two lowest modes."""
-    # one element already leaves 6 free dofs, so two modes always exist
-    w = model.modal(_calibration_modes(model)).omega[:2]
+def _rayleigh_coefficients(omega: np.ndarray) -> tuple[float, float]:
+    """(a, b) of C_s = a M + b K with damping ratio ZETA at omega[0] and omega[1]."""
+    w = omega[:2]
     if w[0] <= 0.0:
         raise ValueError("model has no elastic modes to calibrate damping")
     a = 2.0 * ZETA * w[0] * w[1] / (w[0] + w[1])
     b = 2.0 * ZETA / (w[0] + w[1])
+    return a, b
+
+
+def rayleigh_damping(model: BeamModel) -> np.ndarray:
+    """Mass plus stiffness proportional damping, ZETA at the two lowest modes."""
+    # one element already leaves 6 free dofs, so two modes always exist
+    a, b = _rayleigh_coefficients(model.modal(_calibration_modes(model)).omega)
     return a * model.mass() + b * model.stiffness()
 
 
@@ -151,7 +218,7 @@ class StabilityBasis:
     phi None is the identity basis, the free dofs themselves, with M^-1
     applied through the mass Cholesky factor cho.  Otherwise phi holds
     mass-normalised structural modes as columns, so the projected mass is
-    the identity and a matrix A projects to phi' A phi.
+    the identity; _modal_blocks projects in that basis.
     """
 
     model: BeamModel
@@ -172,10 +239,8 @@ class StabilityBasis:
         return float(self.model.modal(self.size).omega[-1])
 
     def project(self, a_ff: np.ndarray) -> np.ndarray:
-        """M^-1 A in basis coordinates, for A on the free dofs."""
-        if self.phi is None:
-            return scipy.linalg.cho_solve(self.cho, a_ff)
-        return self.phi.T @ a_ff @ self.phi
+        """M^-1 A in the identity basis, for A on the free dofs."""
+        return scipy.linalg.cho_solve(self.cho, a_ff)
 
     def expand(self, q: np.ndarray) -> np.ndarray:
         """Free-dof displacements of basis coordinates q."""
@@ -188,7 +253,7 @@ def _calibration_modes(model: BeamModel) -> int:
     Models solved in the N_MODES basis take them from the basis modes, so
     no separate eigensolve runs; smaller models solve for two modes.
     """
-    return N_MODES if model.free.size > N_MODES else 2
+    return N_MODES if _modal(model) else 2
 
 
 def _stability_basis(model: BeamModel) -> StabilityBasis:
@@ -197,11 +262,29 @@ def _stability_basis(model: BeamModel) -> StabilityBasis:
     The modes come from model.modal, which the model caches, so neither
     another load case nor another speed recomputes them.
     """
-    free = model.free
-    if free.size <= N_MODES:
+    if not _modal(model):
         cho = scipy.linalg.cho_factor(model.free_block(model.mass()))
         return StabilityBasis(model, None, cho)
-    return StabilityBasis(model, model.modal(N_MODES).shapes[free], None)
+    return StabilityBasis(model, model.modal(N_MODES).shapes[model.free], None)
+
+
+def _modal_blocks(model: BeamModel, ops: AeroOperators) -> tuple[np.ndarray, ...]:
+    """Lambda, the damping diagonal a + b Lambda, Phi' K_a Phi and Phi' D_a Phi.
+
+    Phi holds the N_MODES mass-normalised modes of the basis, so Phi' K Phi
+    is Lambda, their squared frequencies, and the Rayleigh damping projects
+    to a + b Lambda; only the aero operators are projected, each read on its
+    support.
+    """
+    modes = model.modal(N_MODES)
+    omega2 = modes.omega**2
+    a, b = _rayleigh_coefficients(modes.omega)
+    return (
+        omega2,
+        a + b * omega2,
+        ops.K_a_support.project(modes.shapes),
+        ops.D_a_support.project(modes.shapes),
+    )
 
 
 @dataclass
@@ -229,8 +312,13 @@ def dynamic_stability(
     n = basis.size
     a = np.zeros((2 * n, 2 * n), order="F")  # eigvals can then overwrite it in place
     a[:n, n:] = np.eye(n)
-    a[n:, :n] = -basis.project(model.free_block(model.stiffness() - ops.K_a))
-    a[n:, n:] = -basis.project(model.free_block(rayleigh_damping(model) - ops.D_a))
+    if _modal(model):
+        omega2, damp, m_ka, m_da = _modal_blocks(model, ops)
+        a[n:, :n] = m_ka - np.diag(omega2)
+        a[n:, n:] = m_da - np.diag(damp)
+    else:
+        a[n:, :n] = -basis.project(model.free_block(model.stiffness() - ops.K_a))
+        a[n:, n:] = -basis.project(model.free_block(rayleigh_damping(model) - ops.D_a))
     if shapes:
         lam, vec = scipy.linalg.eig(a)
     else:
@@ -274,8 +362,9 @@ class AileronOperators:
     """Flow-and-geometry part of the aileron problem, independent of the structure.
 
     w_anti is the antisymmetric-image AIC, k_a the antisymmetric aero
-    stiffness on beam dofs, f_delta the nodal load of the rigid aileron
-    lift, and roll_rigid its rolling moment.
+    stiffness on beam dofs, equal to k_wash @ wash in exact arithmetic as
+    in AeroOperators, f_delta the nodal load of the rigid aileron lift, and
+    roll_rigid its rolling moment.
     """
 
     lattice: Lattice
@@ -284,6 +373,8 @@ class AileronOperators:
     w_anti: np.ndarray
     t_wash: np.ndarray
     k_a: np.ndarray
+    k_wash: np.ndarray
+    wash: np.ndarray
     f_delta: np.ndarray
     roll_rigid: float
 
@@ -308,6 +399,8 @@ def aileron_operators(
     t_load, t_wash, _ = coupling_maps(lattice, nodes)
     load_scaled = t_load * lattice.dy[None, :]
     k_a = -flow.rho * flow.V**2 * load_scaled @ np.linalg.solve(w_anti, t_wash)
+    wash, group = wash_rows(t_wash)
+    k_wash = -flow.rho * flow.V**2 * load_scaled @ np.linalg.solve(w_anti, group)
     return AileronOperators(
         lattice=lattice,
         flow=flow,
@@ -315,18 +408,31 @@ def aileron_operators(
         w_anti=w_anti,
         t_wash=t_wash,
         k_a=k_a,
+        k_wash=k_wash,
+        wash=wash,
         f_delta=t_load @ lift_r,
         roll_rigid=roll_r,
     )
 
 
 def aileron_solve(model: BeamModel, ops: AileronOperators) -> AileronResult:
-    """Flexible response of the beam to unit aileron deflection."""
+    """Flexible response of the beam to unit aileron deflection.
+
+    (K - k_a)_ff u = f_delta is solved densely, or by _low_rank_solve on
+    _modal models, and its residual is checked against _TRIM_TOL as the
+    trim's is; a miss raises RuntimeError.
+    """
     lattice, flow = ops.lattice, ops.flow
     free = model.free
-    ku = model.free_block(model.stiffness() - ops.k_a)
+    k = model.stiffness()
     u = np.zeros(model.n_dof)
-    u[free] = scipy.linalg.solve(ku, ops.f_delta[free])
+    if _modal(model):
+        u[free], _ = _low_rank_solve(model, ops.k_wash, ops.wash, ops.f_delta[free])
+    else:
+        u[free] = scipy.linalg.solve(model.free_block(k - ops.k_a), ops.f_delta[free])
+    r_struct = (k @ u - ops.k_a @ u - ops.f_delta)[free]
+    if np.linalg.norm(r_struct) > _TRIM_TOL * max(np.abs(ops.f_delta).sum(), 1.0):
+        raise RuntimeError("aileron solve missed equilibrium")
     gamma_f = np.linalg.solve(ops.w_anti, -flow.V * (ops.alpha_delta + ops.t_wash @ u))
     lift_f = flow.rho * flow.V * gamma_f * lattice.dy
     roll_f = float(np.sum(lattice.load_pts[:, 1] * lift_f))
@@ -360,10 +466,14 @@ def _stability_margin(
     basis = _stability_basis(model)
     n = basis.size
     unit = aero_operators(lattice, FlowConditions(V=1.0, rho=1.0), model.nodes)
-    m_k = basis.project(model.free_block(model.stiffness()))
-    m_c = basis.project(model.free_block(rayleigh_damping(model)))
-    m_ka = basis.project(model.free_block(unit.K_a))
-    m_da = basis.project(model.free_block(unit.D_a))
+    if _modal(model):
+        omega2, damp, m_ka, m_da = _modal_blocks(model, unit)
+        m_k, m_c = np.diag(omega2), np.diag(damp)
+    else:
+        m_k = basis.project(model.free_block(model.stiffness()))
+        m_c = basis.project(model.free_block(rayleigh_damping(model)))
+        m_ka = basis.project(model.free_block(unit.K_a))
+        m_da = basis.project(model.free_block(unit.D_a))
 
     def margin(v: float) -> float:
         flow = flow_of_v(v)

@@ -34,7 +34,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, eigh, solve_triangular
+from scipy.linalg import (
+    LinAlgWarning,
+    cho_factor,
+    cho_solve,
+    cho_solve_banded,
+    cholesky_banded,
+    eigh,
+    solve_triangular,
+)
 from scipy.linalg.lapack import dpocon, dsytrf
 
 from .section import SectionProperties
@@ -268,6 +276,7 @@ class BeamModel:
         self._K: np.ndarray | None = None
         self._M: np.ndarray | None = None
         self._kff_cho: tuple | None = None
+        self._kff_band: np.ndarray | None = None
         self._modes: dict[int, ModalResult] = {}
 
     # -- assembly ---------------------------------------------------------
@@ -345,6 +354,27 @@ class BeamModel:
                     stacklevel=3,
                 )
         return self._kff_cho
+
+    @property
+    def half_bandwidth(self) -> int:
+        """Largest |i - j| of a stiffness entry, from the element dof map."""
+        dofs = self.elements.geometry.dofs
+        return int((dofs.max(axis=1) - dofs.min(axis=1)).max())
+
+    def kff_solve(self, b: np.ndarray) -> np.ndarray:
+        """K_ff^-1 b for b on the free dofs, one vector or columns.
+
+        Solves through an upper Cholesky factor of K_ff in band storage,
+        factored once per model like the dense one.
+        """
+        if self._kff_band is None:
+            kd = self.half_bandwidth
+            kff = self.free_block(self.stiffness())
+            band = np.zeros((kd + 1, kff.shape[0]))
+            for k in range(kd + 1):
+                band[kd - k, k:] = np.diagonal(kff, k)
+            self._kff_band = cholesky_banded(band, lower=False)
+        return cho_solve_banded((self._kff_band, False), b)
 
     def static_solve(self, loads: np.ndarray) -> np.ndarray:
         """Linear displacement state under nodal loads; zeros at clamped dofs."""

@@ -239,15 +239,19 @@ def _optimize(args, cfg, out) -> None:
             "rho": t.rho,
             "accepted": t.accepted,
             "restoration": t.restoration,
+            "slsqp_status": t.slsqp_status,
+            "candidate_violation": t.candidate_violation,
         }
         for t in report.trace
     ]
     write_json(os.path.join(out, "optimize.json"), payload)
     write_csv(
         os.path.join(out, "optimize_trace.csv"),
-        ["index", "f_hf", "violation", "delta", "rho", "accepted", "restoration"],
+        ["index", "f_hf", "violation", "delta", "rho", "accepted", "restoration",
+         "slsqp_status", "candidate_violation"],
         [
-            [i, t.f_hf, t.violation, t.delta, t.rho, int(t.accepted), int(t.restoration)]
+            [i, t.f_hf, t.violation, t.delta, t.rho, int(t.accepted), int(t.restoration),
+             "" if t.slsqp_status is None else t.slsqp_status, t.candidate_violation]
             for i, t in enumerate(report.trace)
         ],
     )

@@ -190,7 +190,9 @@ def compare_modal(lf: WingModel, hf: WingModel) -> ComparisonReport:
 def _zero_operators(model: WingModel) -> AeroOperators:
     n = model.beam.n_dof
     z = np.zeros((n, n))
-    return AeroOperators(K_a=z, D_a=z.copy(), f_alpha=np.zeros(n))
+    return AeroOperators(
+        K_a=z, D_a=z.copy(), f_alpha=np.zeros(n), k_wash=np.zeros((n, 0)), wash=np.zeros((0, n))
+    )
 
 
 def compare_aeroelastic(

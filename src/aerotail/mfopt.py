@@ -264,6 +264,8 @@ class _Cached:
 
 @dataclass
 class TraceEntry:
+    """One trust-region step; the start point has no subproblem, so no status."""
+
     x: np.ndarray
     f_hf: float
     violation: float
@@ -271,6 +273,8 @@ class TraceEntry:
     rho: float
     accepted: bool
     restoration: bool = False
+    slsqp_status: int | None = None  # exit status of the subproblem's SLSQP run
+    candidate_violation: float = np.nan  # corrected violation of that run's candidate
 
 
 @dataclass
@@ -317,6 +321,20 @@ def _violation(c: np.ndarray, rows: np.ndarray) -> float:
     return float(max(0.0, np.max(c[rows])))
 
 
+@dataclass
+class SubproblemResult:
+    """Candidate of one subproblem and why it came from restoration or not.
+
+    status is SLSQP's exit status; violation is the corrected violation of
+    its candidate, which started restoration when above SUBPROBLEM_TOL.
+    """
+
+    x: np.ndarray
+    restored: bool
+    status: int
+    violation: float
+
+
 def solve_subproblem(
     lf: _Cached,
     corr: CorrectionData,
@@ -327,10 +345,9 @@ def solve_subproblem(
     scale: np.ndarray,
     both: np.ndarray,
     lf_only: np.ndarray,
-) -> tuple[np.ndarray, bool]:
+) -> SubproblemResult:
     """Minimize the corrected model inside trust region and box.
 
-    Returns the candidate and a flag saying the restoration fallback ran.
     Constraint rows: corrected entries plus the raw LF passthrough entries.
     """
     lo = np.maximum(lb, x_center - delta * scale)
@@ -370,8 +387,9 @@ def solve_subproblem(
         options={"maxiter": 200, "ftol": 1e-10},
     )
     candidate = np.clip(res.x, lo, hi)
-    if violation(candidate) <= SUBPROBLEM_TOL:
-        return candidate, False
+    v = violation(candidate)
+    if v <= SUBPROBLEM_TOL:
+        return SubproblemResult(candidate, False, int(res.status), v)
 
     # restoration: drive the violation down inside the same region
     def infeasibility(x):
@@ -390,7 +408,7 @@ def solve_subproblem(
         method="SLSQP",
         options={"maxiter": 200, "ftol": 1e-14},
     )
-    return np.clip(res_r.x, lo, hi), True
+    return SubproblemResult(np.clip(res_r.x, lo, hi), True, int(res.status), v)
 
 
 def trmm_optimize(
@@ -468,9 +486,8 @@ def trmm_optimize(
             term = "budget"
             break
         it += 1
-        cand, restored = solve_subproblem(
-            lf_cached, corr, xc, delta, lb, ub, scale, both, lf_only
-        )
+        sub = solve_subproblem(lf_cached, corr, xc, delta, lb, ub, scale, both, lf_only)
+        cand, restored = sub.x, sub.restored
         restorations += int(restored)
         step = np.max(np.abs(cand - xc) / scale)
         if step < STEP_TOL and not restored:
@@ -485,7 +502,8 @@ def trmm_optimize(
             delta = SHRINK * delta
             trace.append(TraceEntry(x=cand, f_hf=np.nan, violation=np.nan,
                                     delta=delta, rho=-np.inf, accepted=False,
-                                    restoration=restored))
+                                    restoration=restored, slsqp_status=sub.status,
+                                    candidate_violation=sub.violation))
             if delta < DELTA_MIN:
                 term = "delta_min"
                 break
@@ -519,7 +537,8 @@ def trmm_optimize(
             delta = min(EXPAND * delta, DELTA_MAX)
         trace.append(TraceEntry(x=cand, f_hf=hf_cand.f, violation=v_cand,
                                 delta=delta, rho=float(rho), accepted=accept,
-                                restoration=restored))
+                                restoration=restored, slsqp_status=sub.status,
+                                candidate_violation=sub.violation))
         if accept:
             corr = _checked_correction(
                 xc, lf_center, hf_center, lf_cached.gradients(xc), hf_grad

@@ -16,16 +16,18 @@ from aerotail.aeroelastic import (
     AileronDef,
     _stability_margin,
     aileron_effectiveness,
+    aileron_solve,
     critical_speed,
     divergence_factor,
     dynamic_stability,
     rayleigh_damping,
     static_aeroelastic,
 )
+from aerotail import beam as beam_module
 from aerotail.beam import BeamModel, ElementGeometry, ElementSet
 from aerotail.compare import mac
 from aerotail.config import load_config
-from aerotail.constraints import pack_design
+from aerotail.constraints import GRAVITY, pack_design
 from aerotail.laminate import PanelDesign, lp_from_stack
 from aerotail.section import SectionProperties, _inertia_map, prescribed_section
 
@@ -359,6 +361,173 @@ class TestModalReduction:
             else:
                 hi = mid
         assert vc == pytest.approx(0.5 * (lo + hi), rel=5e-3)
+
+
+def reference_trim(beam, ops, flow, extra, trim_lift):
+    """The dense solve: (K - K_a)_ff bordered by the lift row, by LU."""
+    free = beam.free
+    nf = free.size
+    sz = np.zeros(beam.n_dof)
+    sz[2::6] = 1.0
+    f_rigid = ops.f_alpha * flow.alpha
+    jac = np.zeros((nf + 1, nf + 1))
+    jac[:nf, :nf] = beam.free_block(beam.stiffness() - ops.K_a)
+    jac[:nf, nf] = -ops.f_alpha[free]
+    jac[nf, :nf] = (sz @ ops.K_a)[free]
+    jac[nf, nf] = sz @ ops.f_alpha
+    step = scipy.linalg.solve(
+        jac, np.concatenate([(f_rigid + extra)[free], [trim_lift - sz @ f_rigid]])
+    )
+    u = np.zeros(beam.n_dof)
+    u[free] += step[:nf]
+    alpha = flow.alpha + step[nf]
+    return u, alpha, float(sz @ (ops.K_a @ u + ops.f_alpha * alpha))
+
+
+def reference_eta(beam, ail):
+    """Aileron effectiveness from a dense (K - k_a)_ff solve."""
+    u = np.zeros(beam.n_dof)
+    u[beam.free] = scipy.linalg.solve(
+        beam.free_block(beam.stiffness() - ail.k_a), ail.f_delta[beam.free]
+    )
+    flow, lat = ail.flow, ail.lattice
+    gamma = np.linalg.solve(ail.w_anti, -flow.V * (ail.alpha_delta + ail.t_wash @ u))
+    lift = flow.rho * flow.V * gamma * lat.dy
+    return float(np.sum(lat.load_pts[:, 1] * lift)) / ail.roll_rigid
+
+
+def reference_stability(beam, ops):
+    """Kept eigenvalues and degenerate flag, with every matrix projected in full."""
+    free = beam.free
+    if free.size <= N_MODES:
+        cho = scipy.linalg.cho_factor(beam.free_block(beam.mass()))
+
+        def project(a):
+            return scipy.linalg.cho_solve(cho, a)
+    else:
+        phi = beam.modal(N_MODES).shapes[free]
+
+        def project(a):
+            return phi.T @ a @ phi
+    n = min(free.size, N_MODES)
+    a = np.zeros((2 * n, 2 * n), order="F")
+    a[:n, n:] = np.eye(n)
+    a[n:, :n] = -project(beam.free_block(beam.stiffness() - ops.K_a))
+    a[n:, n:] = -project(beam.free_block(rayleigh_damping(beam) - ops.D_a))
+    lam = scipy.linalg.eigvals(a, overwrite_a=True)
+    kept = lam[np.lexsort((-lam.imag, -lam.real))[:N_STABILITY]]
+    gaps = np.abs(np.diff(kept))
+    return kept, bool(np.any(gaps < 1e-6 * np.maximum(np.abs(kept[:-1]), 1.0)))
+
+
+def structured_and_reference(analysis, x):
+    """Per load case: trim, aileron eta and stability, each from the code and its reference."""
+    beam = analysis.build_model(x).beam
+    out = []
+    for i_lc, lc in enumerate(analysis.loadcases):
+        flow, ops, ail = analysis.operators(i_lc)
+        fe = beam.gravity_load(GRAVITY * lc.load_factor)
+        supported = analysis.definition.supported_mass
+        target = lc.load_factor * GRAVITY * (supported + beam.total_mass())
+        res = static_aeroelastic(beam, ops, flow, extra_loads=fe, trim_lift=target)
+        stab = dynamic_stability(beam, ops, shapes=False)
+        got = {"trim": (res.u, res.alpha, res.total_lift),
+               "stability": (stab.eigenvalues, stab.degenerate)}
+        ref = {"trim": reference_trim(beam, ops, flow, fe, target),
+               "stability": reference_stability(beam, ops)}
+        if ail is not None:
+            got["eta"] = aileron_solve(beam, ail).eta
+            ref["eta"] = reference_eta(beam, ail)
+        out.append((got, ref))
+    return out
+
+
+def rel_err(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)).max() / np.abs(np.asarray(b)).max()
+
+
+class TestStructuredSolves:
+    """Models above N_MODES free dofs: banded K_ff, low-rank aero, modal state matrix."""
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_match_dense_references(self, level):
+        cfg, analyses = shipped("wing_default.json")
+        analysis = analyses[level]
+        for x in (cfg.initial_design(), seeded_design(cfg, 1)):
+            for got, ref in structured_and_reference(analysis, x):
+                for a, b in zip(got["trim"], ref["trim"]):
+                    assert rel_err(a, b) <= 1e-9
+                assert rel_err(got["stability"][0], ref["stability"][0]) <= 1e-9
+                assert got["stability"][1] == ref["stability"][1]
+                if level == "LF":
+                    assert rel_err(got["eta"], ref["eta"]) <= 1e-9
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_small_models_keep_the_dense_solves_bit_for_bit(self, level):
+        cfg, analyses = shipped("toy_two_panel.json")
+        analysis = analyses[level]
+        for x in (cfg.initial_design(), seeded_design(cfg, 1)):
+            for got, ref in structured_and_reference(analysis, x):
+                for a, b in zip(got["trim"], ref["trim"]):
+                    assert np.array_equal(a, b)
+                assert np.array_equal(got["stability"][0], ref["stability"][0])
+                assert got["stability"][1] == ref["stability"][1]
+                if level == "LF":
+                    assert got["eta"] == ref["eta"]
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_evaluate_makes_no_large_dense_solve_and_one_factor(self, level, monkeypatch):
+        cfg, analyses = shipped("wing_default.json")
+        analysis = analyses[level]
+        analysis.evaluate(cfg.initial_design())  # builds the aero operators
+
+        def guarded(solve):
+            def call(a, *args, **kwargs):
+                if np.shape(a)[-1] > N_MODES + 1:
+                    raise AssertionError(f"dense solve of order {np.shape(a)[-1]}")
+                return solve(a, *args, **kwargs)
+            return call
+
+        factors = []
+
+        def counted(factor, kind):
+            def call(*args, **kwargs):
+                factors.append(kind)
+                return factor(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(scipy.linalg, "solve", guarded(scipy.linalg.solve))
+        monkeypatch.setattr(np.linalg, "solve", guarded(np.linalg.solve))
+        monkeypatch.setattr(beam_module, "cholesky_banded",
+                            counted(beam_module.cholesky_banded, "band"))
+        monkeypatch.setattr(beam_module, "cho_factor", counted(beam_module.cho_factor, "dense"))
+        designs = (cfg.initial_design(), seeded_design(cfg, 1))
+        for x in designs:
+            analysis.evaluate(x)
+        assert factors == ["band"] * len(designs)
+
+
+class TestResidualChecks:
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    def test_missed_aileron_equilibrium_raises(self, monkeypatch, name):
+        cfg, analyses = shipped(name)
+        analysis = analyses["LF"]
+        beam = analysis.build_model(cfg.initial_design()).beam
+        _, _, ail = analysis.operators(0)
+        aileron_solve(beam, ail)
+        monkeypatch.setattr(aeroelastic, "_TRIM_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="equilibrium"):
+            aileron_solve(beam, ail)
+
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    def test_missed_trim_equilibrium_raises(self, monkeypatch, name):
+        cfg, analyses = shipped(name)
+        analysis = analyses["LF"]
+        model = analysis.build_model(cfg.initial_design())
+        analysis.trim(model, 0)
+        monkeypatch.setattr(aeroelastic, "_TRIM_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="equilibrium"):
+            analysis.trim(model, 0)
 
 
 class TestAileron:

@@ -339,6 +339,24 @@ class TestStaticSolveFactor:
             m.static_solve(tip_load(m, 2, 1.0))
 
 
+class TestBandedFactor:
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    def test_half_bandwidth_and_solve_match_dense(self, name):
+        cfg = load_config(os.path.join(DATA, name))
+        rng = np.random.default_rng(5)
+        for analysis in cfg.analyses():
+            model = analysis.build_model(cfg.initial_design())
+            b = model.beam
+            i, j = np.nonzero(b.stiffness())
+            assert b.half_bandwidth == np.abs(i - j).max()
+            kff = b.stiffness()[6:, 6:]
+            f = np.column_stack([analysis.trim(model, 0)[1][6:], rng.normal(size=kff.shape[0])])
+            expect = scipy.linalg.cho_solve(scipy.linalg.cho_factor(kff), f)
+            x = b.kff_solve(f)
+            assert np.all(np.linalg.norm(x - expect, axis=0)
+                          <= 1e-12 * np.linalg.norm(expect, axis=0))
+
+
 class TestFrames:
     def test_orthonormal_right_handed(self):
         rng = np.random.default_rng(0)

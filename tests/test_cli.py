@@ -11,6 +11,7 @@ from aerotail.aeroelastic import N_MODES, dynamic_stability
 from aerotail.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from aerotail.compare import compare_static
 from aerotail.config import load_config
+from aerotail.mfopt import SUBPROBLEM_TOL
 from aerotail.report import format_value
 
 TOY = os.path.join(os.path.dirname(aerotail.__file__), "data", "toy_two_panel.json")
@@ -263,12 +264,23 @@ class TestOptimize:
         assert os.path.exists(os.path.join(out, "optimize_trace.svg"))
         with open(os.path.join(out, "optimize_trace.csv"), encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        assert lines[0] == "index,f_hf,violation,delta,rho,accepted,restoration"
+        assert lines[0] == ("index,f_hf,violation,delta,rho,accepted,restoration,"
+                            "slsqp_status,candidate_violation")
         assert len(lines) == 1 + len(doc["trace"])
         for line, entry in zip(lines[1:], doc["trace"]):
             cells = line.split(",")
             assert cells[5] == str(int(entry["accepted"]))
             assert cells[6] == str(int(entry["restoration"]))
+            status, viol = entry["slsqp_status"], entry["candidate_violation"]
+            assert cells[7] == ("" if status is None else str(status))
+            assert cells[8] == (viol if isinstance(viol, str) else format_value(viol))
+        start, steps = doc["trace"][0], doc["trace"][1:]
+        assert start["slsqp_status"] is None and start["candidate_violation"] == "nan"
+        assert steps
+        for entry in steps:
+            assert isinstance(entry["slsqp_status"], int)
+            # restoration runs exactly when the candidate kept a violation
+            assert entry["restoration"] == (entry["candidate_violation"] > SUBPROBLEM_TOL)
 
     def test_solve_counters_include_gradient_probes(self, tmp_path):
         out = str(tmp_path / "o")

@@ -238,9 +238,9 @@ class TestSubproblem:
 
         def solve(*args, **kwargs):
             runs.append([0, None])
-            cand, restored = real_solve(*args, **kwargs)
-            runs[-1][1] = restored
-            return cand, restored
+            sub = real_solve(*args, **kwargs)
+            runs[-1][1] = sub.restored
+            return sub
 
         monkeypatch.setattr(mfopt.scipy.optimize, "minimize", minimize)
         monkeypatch.setattr(mfopt, "solve_subproblem", solve)
