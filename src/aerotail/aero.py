@@ -178,32 +178,6 @@ def aic_matrix(lattice: Lattice, mach: float = 0.0, image_sign: float = 1.0) -> 
     return beta * w
 
 
-@dataclass
-class SteadyResult:
-    gamma: np.ndarray
-    panel_lift: np.ndarray
-    total_lift: float
-    cl: float
-
-
-def steady_solve(
-    lattice: Lattice,
-    flow: FlowConditions,
-    alpha_eff: np.ndarray | None = None,
-) -> SteadyResult:
-    """Circulations and panel lifts for the given incidence distribution.
-
-    alpha_eff is the per-panel control point incidence; defaults to the
-    rigid flow.alpha everywhere.
-    """
-    w = aic_matrix(lattice, flow.mach)
-    alpha = np.full(lattice.n_panels, flow.alpha) if alpha_eff is None else np.asarray(alpha_eff)
-    gamma = np.linalg.solve(w, -flow.V * alpha)
-    lift = flow.rho * flow.V * gamma * lattice.dy
-    total = float(lift.sum())
-    return SteadyResult(gamma=gamma, panel_lift=lift, total_lift=total, cl=total / (flow.q * lattice.area))
-
-
 def coupling_maps(lattice: Lattice, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Load, wash, and normal-velocity maps between the lattice and a beam.
 
@@ -315,17 +289,34 @@ class AeroOperators:
         self.D_a_support = Support.of(self.D_a)
 
 
+def wash_stiffness(
+    w: np.ndarray,
+    lattice: Lattice,
+    t_load: np.ndarray,
+    t_wash: np.ndarray,
+    flow: FlowConditions,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(load_scaled, K_a, k_wash, wash) of the influence matrix w at the flow.
+
+    load_scaled is T_load with every panel column scaled by its span width,
+    K_a = -rho V^2 load_scaled w^-1 T_wash the aero stiffness, and k_wash
+    and wash its strip factors (wash_rows).  The symmetric and the
+    antisymmetric problem share this arithmetic, each with its own w.
+    """
+    load_scaled = t_load * lattice.dy[None, :]
+    k_a = -flow.rho * flow.V**2 * load_scaled @ np.linalg.solve(w, t_wash)
+    wash, group = wash_rows(t_wash)
+    k_wash = -flow.rho * flow.V**2 * load_scaled @ np.linalg.solve(w, group)
+    return load_scaled, k_a, k_wash, wash
+
+
 def aero_operators(lattice: Lattice, flow: FlowConditions, nodes: np.ndarray) -> AeroOperators:
     """Assemble the aeroelastic coupling operators at the given flow state."""
     w = aic_matrix(lattice, flow.mach)
     t_load, t_wash, t_vel = coupling_maps(lattice, nodes)
-    load_scaled = t_load * lattice.dy[None, :]
-    winv_wash = np.linalg.solve(w, t_wash)
+    load_scaled, k_a, k_wash, wash = wash_stiffness(w, lattice, t_load, t_wash, flow)
     winv_vel = np.linalg.solve(w, t_vel)
     winv_one = np.linalg.solve(w, np.ones(lattice.n_panels))
-    k_a = -flow.rho * flow.V**2 * load_scaled @ winv_wash
     d_a = flow.rho * flow.V * load_scaled @ winv_vel
     f_alpha = -flow.rho * flow.V**2 * load_scaled @ winv_one
-    wash, group = wash_rows(t_wash)
-    k_wash = -flow.rho * flow.V**2 * load_scaled @ np.linalg.solve(w, group)
     return AeroOperators(K_a=k_a, D_a=d_a, f_alpha=f_alpha, k_wash=k_wash, wash=wash)

@@ -3,9 +3,8 @@
 Static solves couple the beam internal force with the linearized aero
 stiffness, optionally trimming the rigid incidence so total lift matches a
 target.  That problem is linear in the displacements and the incidence,
-so it takes one solve plus a residual check.  Divergence comes from the
-generalized eigenproblem between the structural and aerodynamic
-stiffness.  Dynamic stability assembles the first-order state matrix
+so it takes one solve plus a residual check.  Dynamic stability
+assembles the first-order state matrix
 
     d/dt [u, v] = [[0, I], [-M^-1 (K - K_a), -M^-1 (C_s - D_a)]] [u, v]
 
@@ -55,11 +54,10 @@ from .aero import (
     aic_matrix,
     coupling_maps,
     lift_indicator,
-    wash_rows,
+    wash_stiffness,
 )
 from .beam import BeamModel
 
-_REAL_EIG_TOL = 1e-8
 _DEGENERATE_TOL = 1e-6
 
 ZETA = 0.005  # structural damping ratio at the two lowest modes
@@ -177,21 +175,6 @@ def static_aeroelastic(
     return StaticAeroelasticResult(
         u=u, alpha=alpha, total_lift=float(sz @ f_aero), iterations=1
     )
-
-
-def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
-    """Smallest positive multiplier on dynamic pressure causing divergence.
-
-    Solves K u = lambda K_a u on the free dofs; infinity when the flow
-    cannot diverge the structure at any positive pressure.
-    """
-    lam = scipy.linalg.eig(
-        model.free_block(model.stiffness()), model.free_block(ops.K_a), right=False
-    )
-    lam = lam[np.isfinite(lam)]
-    real = lam[np.abs(lam.imag) <= _REAL_EIG_TOL * np.maximum(np.abs(lam.real), 1.0)].real
-    pos = real[real > 0.0]
-    return float(pos.min()) if pos.size else float("inf")
 
 
 def _rayleigh_coefficients(omega: np.ndarray) -> tuple[float, float]:
@@ -397,10 +380,7 @@ def aileron_operators(
     roll_r = float(np.sum(lattice.load_pts[:, 1] * lift_r))
     # antisymmetric aero stiffness
     t_load, t_wash, _ = coupling_maps(lattice, nodes)
-    load_scaled = t_load * lattice.dy[None, :]
-    k_a = -flow.rho * flow.V**2 * load_scaled @ np.linalg.solve(w_anti, t_wash)
-    wash, group = wash_rows(t_wash)
-    k_wash = -flow.rho * flow.V**2 * load_scaled @ np.linalg.solve(w_anti, group)
+    _, k_a, k_wash, wash = wash_stiffness(w_anti, lattice, t_load, t_wash, flow)
     return AileronOperators(
         lattice=lattice,
         flow=flow,

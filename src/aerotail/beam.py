@@ -45,8 +45,6 @@ from scipy.linalg import (
 )
 from scipy.linalg.lapack import dpocon, dsytrf
 
-from .section import SectionProperties
-
 # smallest eigenvalue mu of U^-T (-K_g) U^-1, K_ff = U'U, that counts as a
 # buckling mode with load factor 1 / mu
 BUCKLING_TAU = 1e-12
@@ -438,26 +436,3 @@ class BeamModel:
         acc = np.zeros(self.n_dof)
         acc[2::6] = -g
         return self.mass() @ acc
-
-
-def cantilever_model(
-    section: SectionProperties,
-    length: float,
-    n_elements: int,
-    axis=(1.0, 0.0, 0.0),
-    point_masses: list[PointMass] = (),
-) -> BeamModel:
-    """Straight cantilever of one section along `axis`, clamped at the origin node."""
-    if n_elements < 1:
-        raise ValueError("need at least one element")
-    direction = np.asarray(axis, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    stations = np.linspace(0.0, length, n_elements + 1)
-    nodes = stations[:, None] * direction[None, :]
-    elements = ElementSet(
-        ElementGeometry.build(nodes, [(i, i + 1) for i in range(n_elements)]),
-        section.C[None],
-        section.M[None],
-        np.zeros(n_elements, dtype=int),
-    )
-    return BeamModel(nodes, elements, point_masses=point_masses)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .aeroelastic import dynamic_stability
 from .compare import compare_aeroelastic, compare_modal, compare_static, tip_response
 from .config import ConfigError, load_config
-from .mfopt import trmm_optimize
+from .mfopt import TraceEntry, trmm_optimize
 from .report import (
     comparison_rows,
     convergence_trace,
@@ -35,7 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ANALYSIS = 3
 
-ANALYZE_CASES = ("static", "modal", "buckling", "flutter", "trim")
+ANALYZE_CASES = ("static", "modal", "flutter", "trim")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -103,23 +104,6 @@ def _analyze(args, cfg, out) -> None:
         write_json(
             os.path.join(out, f"{tag}.json"),
             {"case": "modal", "level": args.level, "omega": res.omega},
-        )
-    elif args.case == "buckling":
-        _, loads = analysis.trim(model, 0)
-        buck = beam.buckling(loads, n_modes=8)
-        payload = {
-            "case": "buckling",
-            "level": args.level,
-            "load_case": _case_name(cfg, 0),
-            "factors": buck.factors,
-            "note": "" if buck.factors.size else
-            "no compressive prestress under this load case",
-        }
-        write_json(os.path.join(out, f"{tag}.json"), payload)
-        write_csv(
-            os.path.join(out, f"{tag}.csv"),
-            ["index", "factor"],
-            [[i, v] for i, v in enumerate(buck.factors)],
         )
     elif args.case == "flutter":
         rows = []
@@ -223,37 +207,29 @@ def _compare(args, cfg, out) -> None:
     write_json(os.path.join(out, "case3_report.json"), report_payload(rep))
 
 
+def _csv_cell(value):
+    """A trace value as the CSV writes it: a bool as 0 or 1, a missing one empty."""
+    if value is None:
+        return ""
+    return int(value) if isinstance(value, (bool, np.bool_)) else value
+
+
 def _optimize(args, cfg, out) -> None:
     lf, hf = cfg.analyses()
     kwargs = cfg.optimizer.kwargs()
     if args.budget is not None:
         kwargs["budget"] = args.budget
     report = trmm_optimize(lf, hf, cfg.initial_design(), **kwargs)
+    # every TraceEntry field but the design vector, in declaration order
+    columns = [f.name for f in fields(TraceEntry) if f.name != "x"]
     payload = report.summary()
     payload["x_best"] = report.x_best
-    payload["trace"] = [
-        {
-            "f_hf": t.f_hf,
-            "violation": t.violation,
-            "delta": t.delta,
-            "rho": t.rho,
-            "accepted": t.accepted,
-            "restoration": t.restoration,
-            "slsqp_status": t.slsqp_status,
-            "candidate_violation": t.candidate_violation,
-        }
-        for t in report.trace
-    ]
+    payload["trace"] = [{c: getattr(t, c) for c in columns} for t in report.trace]
     write_json(os.path.join(out, "optimize.json"), payload)
     write_csv(
         os.path.join(out, "optimize_trace.csv"),
-        ["index", "f_hf", "violation", "delta", "rho", "accepted", "restoration",
-         "slsqp_status", "candidate_violation"],
-        [
-            [i, t.f_hf, t.violation, t.delta, t.rho, int(t.accepted), int(t.restoration),
-             "" if t.slsqp_status is None else t.slsqp_status, t.candidate_violation]
-            for i, t in enumerate(report.trace)
-        ],
+        ["index", *columns],
+        [[i, *(_csv_cell(getattr(t, c)) for c in columns)] for i, t in enumerate(report.trace)],
     )
     convergence_trace(os.path.join(out, "optimize_trace.svg"), report.trace)
 

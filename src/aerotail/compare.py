@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aero import AeroOperators, FlowConditions, aero_operators
+from .aero import FlowConditions, aero_operators
 from .aeroelastic import dynamic_stability
 from .fidelity import WingModel
 
@@ -187,30 +187,14 @@ def compare_modal(lf: WingModel, hf: WingModel) -> ComparisonReport:
     )
 
 
-def _zero_operators(model: WingModel) -> AeroOperators:
-    n = model.beam.n_dof
-    z = np.zeros((n, n))
-    return AeroOperators(
-        K_a=z, D_a=z.copy(), f_alpha=np.zeros(n), k_wash=np.zeros((n, 0)), wash=np.zeros((0, n))
-    )
-
-
 def compare_aeroelastic(
     lf: WingModel,
     hf: WingModel,
-    flow: FlowConditions | None,
+    flow: FlowConditions,
 ) -> ComparisonReport:
-    """Leading stability eigenvalues (N_STABILITY) and complex MAC at one flow point.
-
-    flow = None runs the still-air limit: the aerodynamic operators vanish
-    and the comparison degenerates to the damped structural modes.
-    """
-    if flow is None:
-        ops_lf = _zero_operators(lf)
-        ops_hf = _zero_operators(hf)
-    else:
-        ops_lf = aero_operators(lf.lattice, flow, lf.beam.nodes)
-        ops_hf = aero_operators(hf.lattice, flow, hf.beam.nodes)
+    """Leading stability eigenvalues (N_STABILITY) and complex MAC at one flow point."""
+    ops_lf = aero_operators(lf.lattice, flow, lf.beam.nodes)
+    ops_hf = aero_operators(hf.lattice, flow, hf.beam.nodes)
     res_lf = dynamic_stability(lf.beam, ops_lf)
     res_hf = dynamic_stability(hf.beam, ops_hf)
     i_lf, i_hf = shared_node_dofs(lf, hf)

@@ -120,11 +120,6 @@ class LoadCase:
         return FlowConditions(V=self.V, rho=self.rho, alpha=self.alpha, mach=self.mach)
 
 
-def constraint_length(n_lc: int, n_panels: int, n_stations: int) -> int:
-    per_lc = N_TSAI_WU * n_panels + N_STABILITY + 1 + 2 * n_stations
-    return n_lc * per_lc + N_FEASIBILITY * n_panels
-
-
 def pack_design(panels) -> np.ndarray:
     """Stack panel designs into the flat design vector."""
     parts = []
@@ -240,7 +235,7 @@ class WingAnalysis:
         self,
         definition: WingDefinition,
         loadcases,
-        fidelity: FidelityConfig | None = None,
+        fidelity: FidelityConfig,
         level: str = "LF",
     ):
         if level not in ("LF", "HF"):
@@ -249,7 +244,7 @@ class WingAnalysis:
         self.loadcases = tuple(loadcases)
         if not self.loadcases:
             raise ValueError("need at least one load case")
-        self.fidelity = fidelity or FidelityConfig()
+        self.fidelity = fidelity
         self.level = level
         self.layout = ConstraintLayout.build(definition, len(self.loadcases))
         self._mask = self.layout.mask_for(level)
@@ -400,6 +395,12 @@ class WingAnalysis:
         return g
 
     def gradients(self, x) -> GradientResult:
+        """Closed-form mass and feasibility rows, central differences elsewhere.
+
+        A probe evaluate that raises ValueError or RuntimeError ends the
+        call; the exception then carries n_evaluates, the evaluates started
+        so far, the failing one included, so solve counters see them.
+        """
         x = np.asarray(x, dtype=float)
         lay = self.layout
         n_panels = self.definition.n_panels
@@ -410,19 +411,26 @@ class WingAnalysis:
         flags = np.zeros(lay.size, dtype=bool)
         lb, ub = self.bounds()
         probed = [VARS_PER_PANEL * p + k for p in range(n_panels) for k in PROBED_ENTRIES]
-        for i in probed:
-            h = FD_REL_STEP * (1.0 + abs(x[i]))
-            # probes stay inside the box; one-sided at a pinned bound
-            hp = max(0.0, min(h, ub[i] - x[i]))
-            hm = max(0.0, min(h, x[i] - lb[i]))
-            xp = x.copy()
-            xp[i] += hp
-            xm = x.copy()
-            xm[i] -= hm
-            op = self.evaluate(xp)
-            om = self.evaluate(xm)
-            grad_c[:, i] = (op.c - om.c) / (hp + hm)
-            flags |= op.nonsmooth | om.nonsmooth
+        started = 0
+        try:
+            for i in probed:
+                h = FD_REL_STEP * (1.0 + abs(x[i]))
+                # probes stay inside the box; one-sided at a pinned bound
+                hp = max(0.0, min(h, ub[i] - x[i]))
+                hm = max(0.0, min(h, x[i] - lb[i]))
+                xp = x.copy()
+                xp[i] += hp
+                xm = x.copy()
+                xm[i] -= hm
+                started += 1
+                op = self.evaluate(xp)
+                started += 1
+                om = self.evaluate(xm)
+                grad_c[:, i] = (op.c - om.c) / (hp + hm)
+                flags |= op.nonsmooth | om.nonsmooth
+        except (ValueError, RuntimeError) as exc:
+            exc.n_evaluates = started
+            raise
 
         # exact rows for the design-only feasibility block
         sl = lay.rows(-1, "feas")
@@ -432,5 +440,5 @@ class WingAnalysis:
             c0 = VARS_PER_PANEL * p
             grad_c[r0 : r0 + N_FEASIBILITY, c0 : c0 + 8] = feasibility_gradient(pd.lp)
         return GradientResult(
-            grad_f=grad_f, grad_c=grad_c, nonsmooth=flags, n_evaluates=2 * len(probed)
+            grad_f=grad_f, grad_c=grad_c, nonsmooth=flags, n_evaluates=started
         )

@@ -281,19 +281,15 @@ def build_wing_model(
     return wing_structure(defn, fid).build(panels)
 
 
-def make_lf(defn: WingDefinition, loadcases, cfg: FidelityConfig | None = None):
+def make_lf(defn: WingDefinition, loadcases, cfg: FidelityConfig):
     """Low-fidelity analysis handle: coarse mesh, full constraint set."""
     from .constraints import WingAnalysis
 
-    cfg = cfg or FidelityConfig()
     return WingAnalysis(defn, loadcases, cfg, level="LF")
 
 
-def make_hf(defn: WingDefinition, loadcases, cfg: FidelityConfig | None = None):
+def make_hf(defn: WingDefinition, loadcases, cfg: FidelityConfig):
     """High-fidelity analysis handle: refined mesh plus knockdown physics."""
     from .constraints import WingAnalysis
 
-    cfg = cfg or FidelityConfig(
-        mesh_factor=2, lattice_nx=2, lattice_ny=24, torsion_knockdown=0.76
-    )
     return WingAnalysis(defn, loadcases, cfg, level="HF")

@@ -16,17 +16,18 @@ or infeasible subproblem falls back to a violation-minimizing restoration
 step, which is flagged in the report.
 
 Models are anything with evaluate(x) -> ModelOutputs, gradients(x) ->
-GradientResult, and bounds(); WingAnalysis instances and the bundled
-analytic benchmark pair both qualify.
+GradientResult, and bounds(); WingAnalysis instances qualify, and so do
+closed-form models.
 
 The report counts calls per level (n_*_evals, n_*_grads) and model solves
-(n_*_solves): evaluates plus the finite-difference probes of every gradient.
-The single-fidelity run counts everything against HF and reports 0 on LF.
+(n_*_solves): evaluates plus the finite-difference probes of every gradient,
+those of a gradient call that raised included.  The single-fidelity run
+counts everything against HF and reports 0 on LF.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.optimize
@@ -172,8 +173,8 @@ class _Counting:
     """Per-model call counter; identical model objects share one counter.
 
     solves counts model evaluations: every evaluate that reaches the model
-    plus the n_evaluates of every gradient it returns (a gradient call that
-    raises adds none).
+    plus the n_evaluates of every gradient, read from the result or, when
+    the gradient call raises, from the exception (0 when it carries none).
     """
 
     def __init__(self, model):
@@ -189,7 +190,11 @@ class _Counting:
 
     def gradients(self, x) -> GradientResult:
         self.grads += 1
-        out = self.model.gradients(x)
+        try:
+            out = self.model.gradients(x)
+        except (ValueError, RuntimeError) as exc:
+            self.solves += getattr(exc, "n_evaluates", 0)
+            raise
         self.solves += out.n_evaluates
         return out
 
@@ -295,19 +300,11 @@ class OptimizerReport:
     nonsmooth_encounters: int = 0
 
     def summary(self) -> dict:
+        """Every field of the report but x_best and trace, by name."""
         return {
-            "f_best": self.f_best,
-            "violation_best": self.violation_best,
-            "iterations": self.iterations,
-            "n_hf_evals": self.n_hf_evals,
-            "n_hf_grads": self.n_hf_grads,
-            "n_lf_evals": self.n_lf_evals,
-            "n_lf_grads": self.n_lf_grads,
-            "n_hf_solves": self.n_hf_solves,
-            "n_lf_solves": self.n_lf_solves,
-            "termination": self.termination,
-            "restorations": self.restorations,
-            "nonsmooth_encounters": self.nonsmooth_encounters,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("x_best", "trace")
         }
 
 
@@ -548,70 +545,3 @@ def trmm_optimize(
             break
 
     return report(xc, hf_center, v_center, trace, it, term, restorations, nonsmooth)
-
-
-# -- analytic benchmark ------------------------------------------------------
-
-
-class AnalyticModel:
-    """Tiny closed-form model exposing the analysis interface.
-
-    mask marks which constraint rows this model provides; unavailable rows
-    must come back NaN from cons / cons_grad, mirroring the wing models.
-    """
-
-    def __init__(self, fun, grad, cons, cons_grad, box, mask=None):
-        self._fun = fun
-        self._grad = grad
-        self._cons = cons
-        self._cons_grad = cons_grad
-        self._box = box
-        self._mask = None if mask is None else np.asarray(mask, dtype=bool)
-
-    def bounds(self):
-        return self._box
-
-    def evaluate(self, x) -> ModelOutputs:
-        x = np.asarray(x, dtype=float)
-        c = np.atleast_1d(np.asarray(self._cons(x), dtype=float))
-        mask = np.ones(c.size, dtype=bool) if self._mask is None else self._mask
-        return ModelOutputs(
-            f=float(self._fun(x)),
-            c=c,
-            mask=mask,
-            nonsmooth=np.zeros(c.size, dtype=bool),
-        )
-
-    def gradients(self, x) -> GradientResult:
-        x = np.asarray(x, dtype=float)
-        gc = np.atleast_2d(np.asarray(self._cons_grad(x), dtype=float))
-        return GradientResult(
-            grad_f=np.asarray(self._grad(x), dtype=float),
-            grad_c=gc,
-            nonsmooth=np.zeros(gc.shape[0], dtype=bool),
-        )
-
-
-def quadratic_benchmark_pair():
-    """Correlated LF/HF pair with known solution x* = (0.8, 0.4), f* = 0.06.
-
-    HF: f = (x1-1)^2 + 2 (x2-1/2)^2 subject to x1 + x2 - 1.2 <= 0.
-    LF: shifted, rescaled, and offset, so corrections do real work.
-    """
-    box = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    hf = AnalyticModel(
-        fun=lambda x: (x[0] - 1.0) ** 2 + 2.0 * (x[1] - 0.5) ** 2,
-        grad=lambda x: np.array([2.0 * (x[0] - 1.0), 4.0 * (x[1] - 0.5)]),
-        cons=lambda x: [x[0] + x[1] - 1.2],
-        cons_grad=lambda x: [[1.0, 1.0]],
-        box=box,
-    )
-    lf = AnalyticModel(
-        fun=lambda x: 0.9 * (x[0] - 1.15) ** 2 + 2.3 * (x[1] - 0.4) ** 2 + 0.07,
-        grad=lambda x: np.array([1.8 * (x[0] - 1.15), 4.6 * (x[1] - 0.4)]),
-        cons=lambda x: [1.08 * x[0] + 0.92 * x[1] - 1.17],
-        cons_grad=lambda x: [[1.08, 0.92]],
-        box=box,
-    )
-    x_star = np.array([0.8, 0.4])
-    return lf, hf, np.array([0.0, 0.0]), x_star, 0.06

@@ -24,7 +24,9 @@ Every quantity is computed for a stack of contours with the same number of
 walls at once.  `contour_geometry` holds what depends on the wall geometry
 only (endpoints, tangents, lengths, enclosed areas, Gauss points and their
 inertia maps); `section_batch` adds the walls' membranes, thicknesses and
-density.  `CrossSection.build` runs both on a stack of one.
+density.  The wing calls `section_batch` on all its bays at once;
+`CrossSection.build` runs both on a stack of one, for single-section
+checks.
 """
 
 from __future__ import annotations
@@ -73,19 +75,6 @@ def wall_stresses(strain_map, membrane, thickness, section_strains) -> np.ndarra
     s[..., 0] = n[..., 0] / thickness
     s[..., 2] = n[..., 1] / thickness
     return s
-
-
-@dataclass(frozen=True)
-class SectionProperties:
-    """Homogenized beam properties of one cross section.
-
-    C is the 6x6 stiffness, M the 6x6 inertia per unit length (translations
-    then rotations about the reference point); M[0, 0] is the mass per unit
-    length.
-    """
-
-    C: np.ndarray
-    M: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -276,43 +265,3 @@ def box_corners(width, height) -> tuple[np.ndarray, np.ndarray]:
     ru = np.stack([w2, h2], axis=-1)
     fu = np.stack([-w2, h2], axis=-1)
     return np.stack([fl, rl, ru, fu], axis=-2), np.stack([rl, ru, fu, fl], axis=-2)
-
-
-def box_section(
-    width: float,
-    height: float,
-    walls: dict[str, PanelDesign],
-    material: MaterialProperties,
-) -> CrossSection:
-    """Rectangular single-cell box with walls `upper`, `lower`, `front`, `rear`.
-
-    Centered on the section origin (see `box_corners`); each wall is one
-    segment.
-    """
-    if width <= 0.0 or height <= 0.0:
-        raise ValueError("box dimensions must be positive")
-    missing = {"upper", "lower", "front", "rear"} - set(walls)
-    if missing:
-        raise ValueError(f"missing wall designs: {sorted(missing)}")
-    p1, p2 = box_corners(width, height)
-    return CrossSection(p1, p2, [walls[name] for name in BOX_WALLS], material)
-
-
-def prescribed_section(
-    EA: float,
-    GA2: float,
-    GA3: float,
-    GJ: float,
-    EI2: float,
-    EI3: float,
-    mu: float = 1.0,
-    i_polar: float = 1.0,
-) -> SectionProperties:
-    """Diagonal section from handbook constants, for verification models.
-
-    Rotary inertia splits the polar value evenly between the two bending
-    axes.
-    """
-    c = np.diag([EA, GA2, GA3, GJ, EI2, EI3]).astype(float)
-    m = np.diag([mu, mu, mu, i_polar, 0.5 * i_polar, 0.5 * i_polar]).astype(float)
-    return SectionProperties(C=c, M=m)

@@ -1,0 +1,221 @@
+"""Verification references the tests check the package against.
+
+Nothing in the package calls these: handbook sections, straight
+cantilevers, the rigid steady vortex-lattice solve, the static divergence
+eigenproblem, the constraint-vector length formula and a closed-form
+LF/HF model pair for the optimizer.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg
+
+from aerotail.aero import AeroOperators, FlowConditions, Lattice, aic_matrix
+from aerotail.aeroelastic import N_STABILITY
+from aerotail.beam import BeamModel, ElementGeometry, ElementSet, PointMass
+from aerotail.constraints import N_FEASIBILITY, N_TSAI_WU, GradientResult, ModelOutputs
+from aerotail.laminate import MaterialProperties, PanelDesign
+from aerotail.section import BOX_WALLS, CrossSection, box_corners
+
+_REAL_EIG_TOL = 1e-8
+
+
+# -- sections and beams --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SectionProperties:
+    """Homogenized beam properties of one cross section.
+
+    C is the 6x6 stiffness, M the 6x6 inertia per unit length (translations
+    then rotations about the reference point); M[0, 0] is the mass per unit
+    length.
+    """
+
+    C: np.ndarray
+    M: np.ndarray
+
+
+def box_section(
+    width: float,
+    height: float,
+    walls: dict[str, PanelDesign],
+    material: MaterialProperties,
+) -> CrossSection:
+    """Rectangular single-cell box with walls `upper`, `lower`, `front`, `rear`.
+
+    Centered on the section origin (see `box_corners`); each wall is one
+    segment.
+    """
+    if width <= 0.0 or height <= 0.0:
+        raise ValueError("box dimensions must be positive")
+    missing = {"upper", "lower", "front", "rear"} - set(walls)
+    if missing:
+        raise ValueError(f"missing wall designs: {sorted(missing)}")
+    p1, p2 = box_corners(width, height)
+    return CrossSection(p1, p2, [walls[name] for name in BOX_WALLS], material)
+
+
+def prescribed_section(
+    EA: float,
+    GA2: float,
+    GA3: float,
+    GJ: float,
+    EI2: float,
+    EI3: float,
+    mu: float = 1.0,
+    i_polar: float = 1.0,
+) -> SectionProperties:
+    """Diagonal section from handbook constants, for verification models.
+
+    Rotary inertia splits the polar value evenly between the two bending
+    axes.
+    """
+    c = np.diag([EA, GA2, GA3, GJ, EI2, EI3]).astype(float)
+    m = np.diag([mu, mu, mu, i_polar, 0.5 * i_polar, 0.5 * i_polar]).astype(float)
+    return SectionProperties(C=c, M=m)
+
+
+def cantilever_model(
+    section: SectionProperties,
+    length: float,
+    n_elements: int,
+    axis=(1.0, 0.0, 0.0),
+    point_masses: list[PointMass] = (),
+) -> BeamModel:
+    """Straight cantilever of one section along `axis`, clamped at the origin node."""
+    if n_elements < 1:
+        raise ValueError("need at least one element")
+    direction = np.asarray(axis, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    stations = np.linspace(0.0, length, n_elements + 1)
+    nodes = stations[:, None] * direction[None, :]
+    elements = ElementSet(
+        ElementGeometry.build(nodes, [(i, i + 1) for i in range(n_elements)]),
+        section.C[None],
+        section.M[None],
+        np.zeros(n_elements, dtype=int),
+    )
+    return BeamModel(nodes, elements, point_masses=point_masses)
+
+
+# -- aerodynamics and aeroelasticity ----------------------------------------------
+
+
+@dataclass
+class SteadyResult:
+    gamma: np.ndarray
+    panel_lift: np.ndarray
+    total_lift: float
+    cl: float
+
+
+def steady_solve(
+    lattice: Lattice,
+    flow: FlowConditions,
+    alpha_eff: np.ndarray | None = None,
+) -> SteadyResult:
+    """Circulations and panel lifts for the given incidence distribution.
+
+    alpha_eff is the per-panel control point incidence; defaults to the
+    rigid flow.alpha everywhere.
+    """
+    w = aic_matrix(lattice, flow.mach)
+    alpha = np.full(lattice.n_panels, flow.alpha) if alpha_eff is None else np.asarray(alpha_eff)
+    gamma = np.linalg.solve(w, -flow.V * alpha)
+    lift = flow.rho * flow.V * gamma * lattice.dy
+    total = float(lift.sum())
+    return SteadyResult(gamma=gamma, panel_lift=lift, total_lift=total, cl=total / (flow.q * lattice.area))
+
+
+def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
+    """Smallest positive multiplier on dynamic pressure causing divergence.
+
+    Solves K u = lambda K_a u on the free dofs; infinity when the flow
+    cannot diverge the structure at any positive pressure.
+    """
+    lam = scipy.linalg.eig(
+        model.free_block(model.stiffness()), model.free_block(ops.K_a), right=False
+    )
+    lam = lam[np.isfinite(lam)]
+    real = lam[np.abs(lam.imag) <= _REAL_EIG_TOL * np.maximum(np.abs(lam.real), 1.0)].real
+    pos = real[real > 0.0]
+    return float(pos.min()) if pos.size else float("inf")
+
+
+# -- constraint stack --------------------------------------------------------------
+
+
+def constraint_length(n_lc: int, n_panels: int, n_stations: int) -> int:
+    per_lc = N_TSAI_WU * n_panels + N_STABILITY + 1 + 2 * n_stations
+    return n_lc * per_lc + N_FEASIBILITY * n_panels
+
+
+# -- analytic benchmark ------------------------------------------------------
+
+
+class AnalyticModel:
+    """Tiny closed-form model exposing the analysis interface.
+
+    mask marks which constraint rows this model provides; unavailable rows
+    must come back NaN from cons / cons_grad, mirroring the wing models.
+    """
+
+    def __init__(self, fun, grad, cons, cons_grad, box, mask=None):
+        self._fun = fun
+        self._grad = grad
+        self._cons = cons
+        self._cons_grad = cons_grad
+        self._box = box
+        self._mask = None if mask is None else np.asarray(mask, dtype=bool)
+
+    def bounds(self):
+        return self._box
+
+    def evaluate(self, x) -> ModelOutputs:
+        x = np.asarray(x, dtype=float)
+        c = np.atleast_1d(np.asarray(self._cons(x), dtype=float))
+        mask = np.ones(c.size, dtype=bool) if self._mask is None else self._mask
+        return ModelOutputs(
+            f=float(self._fun(x)),
+            c=c,
+            mask=mask,
+            nonsmooth=np.zeros(c.size, dtype=bool),
+        )
+
+    def gradients(self, x) -> GradientResult:
+        x = np.asarray(x, dtype=float)
+        gc = np.atleast_2d(np.asarray(self._cons_grad(x), dtype=float))
+        return GradientResult(
+            grad_f=np.asarray(self._grad(x), dtype=float),
+            grad_c=gc,
+            nonsmooth=np.zeros(gc.shape[0], dtype=bool),
+        )
+
+
+def quadratic_benchmark_pair():
+    """Correlated LF/HF pair with known solution x* = (0.8, 0.4), f* = 0.06.
+
+    HF: f = (x1-1)^2 + 2 (x2-1/2)^2 subject to x1 + x2 - 1.2 <= 0.
+    LF: shifted, rescaled, and offset, so corrections do real work.
+    """
+    box = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    hf = AnalyticModel(
+        fun=lambda x: (x[0] - 1.0) ** 2 + 2.0 * (x[1] - 0.5) ** 2,
+        grad=lambda x: np.array([2.0 * (x[0] - 1.0), 4.0 * (x[1] - 0.5)]),
+        cons=lambda x: [x[0] + x[1] - 1.2],
+        cons_grad=lambda x: [[1.0, 1.0]],
+        box=box,
+    )
+    lf = AnalyticModel(
+        fun=lambda x: 0.9 * (x[0] - 1.15) ** 2 + 2.3 * (x[1] - 0.4) ** 2 + 0.07,
+        grad=lambda x: np.array([1.8 * (x[0] - 1.15), 4.6 * (x[1] - 0.4)]),
+        cons=lambda x: [1.08 * x[0] + 0.92 * x[1] - 1.17],
+        cons_grad=lambda x: [[1.08, 0.92]],
+        box=box,
+    )
+    x_star = np.array([0.8, 0.4])
+    return lf, hf, np.array([0.0, 0.0]), x_star, 0.06

@@ -18,17 +18,15 @@ from aerotail.aero import (
     aero_operators,
     build_lattice,
     coupling_maps,
-    steady_solve,
 )
 from aerotail.aeroelastic import (
     AileronDef,
     critical_speed,
-    divergence_factor,
     dynamic_stability,
 )
-from aerotail.beam import BeamModel, ElementGeometry, ElementSet, cantilever_model
+from aerotail.beam import BeamModel, ElementGeometry, ElementSet
 from aerotail.compare import compare_aeroelastic, compare_modal, compare_static
-from aerotail.constraints import LoadCase, constraint_length, pack_design
+from aerotail.constraints import LoadCase, pack_design
 from aerotail.fidelity import (
     FidelityConfig,
     WingDefinition,
@@ -45,15 +43,20 @@ from aerotail.laminate import (
 )
 from aerotail.mfopt import (
     build_correction,
-    quadratic_benchmark_pair,
     trmm_optimize,
     verify_consistency,
 )
-from aerotail.section import (
+from aerotail.section import _inertia_map
+
+from oracles import (
     SectionProperties,
-    _inertia_map,
     box_section,
+    cantilever_model,
+    constraint_length,
+    divergence_factor,
     prescribed_section,
+    quadratic_benchmark_pair,
+    steady_solve,
 )
 
 E_ISO = 71.0e9

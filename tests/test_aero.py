@@ -12,8 +12,9 @@ from aerotail.aero import (
     aic_matrix,
     build_lattice,
     coupling_maps,
-    steady_solve,
 )
+
+from oracles import steady_solve
 
 
 class TestKernels:

@@ -18,7 +18,6 @@ from aerotail.aeroelastic import (
     aileron_effectiveness,
     aileron_solve,
     critical_speed,
-    divergence_factor,
     dynamic_stability,
     rayleigh_damping,
     static_aeroelastic,
@@ -29,7 +28,9 @@ from aerotail.compare import mac
 from aerotail.config import load_config
 from aerotail.constraints import GRAVITY, pack_design
 from aerotail.laminate import PanelDesign, lp_from_stack
-from aerotail.section import SectionProperties, _inertia_map, prescribed_section
+from aerotail.section import _inertia_map
+
+from oracles import SectionProperties, divergence_factor, prescribed_section
 
 SPAN = 8.0
 CHORD = 1.0

@@ -14,11 +14,11 @@ from aerotail.beam import (
     ElementSet,
     PointMass,
     _count_positive,
-    cantilever_model,
     element_frame,
 )
 from aerotail.config import load_config
-from aerotail.section import SectionProperties, prescribed_section
+
+from oracles import SectionProperties, cantilever_model, prescribed_section
 
 DATA = os.path.join(os.path.dirname(aerotail.__file__), "data")
 

@@ -74,12 +74,15 @@ class TestAnalyze:
         doc = json.loads(open(os.path.join(out, "modal_HF.json")).read())
         assert len(doc["omega"]) == 4
 
-    def test_buckling_outputs(self, tmp_path):
-        out = str(tmp_path / "o")
-        assert run("analyze", "--case", "buckling", "--config", TOY,
-                   "--out", out) == EXIT_OK
-        assert os.path.exists(os.path.join(out, "buckling_LF.json"))
-        assert os.path.exists(os.path.join(out, "buckling_LF.csv"))
+    def test_buckling_case_fails_argument_parsing(self, tmp_path, capsys):
+        # no valid config prestresses the beam in compression, so there is no
+        # buckling case to run
+        with pytest.raises(SystemExit) as exc:
+            run("analyze", "--case", "buckling", "--config", TOY,
+                "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "invalid choice: 'buckling'" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "o"))
 
     def test_trim_keeps_load_case_names(self, tmp_path):
         out = str(tmp_path / "o")
@@ -143,7 +146,7 @@ class TestAnalyze:
         cfg = tmp_path / "unnamed.json"
         cfg.write_text(json.dumps(doc))
         out = str(tmp_path / "o")
-        for case in ("flutter", "buckling", "trim"):
+        for case in ("flutter", "trim"):
             assert run("analyze", "--case", case, "--config", str(cfg),
                        "--out", out) == EXIT_OK
         names = ["case_0", "case_1"]
@@ -154,8 +157,6 @@ class TestAnalyze:
         assert sorted(flutter["eigenvalues"]) == names
         trim = json.loads(open(os.path.join(out, "trim_LF.json")).read())
         assert sorted(trim["results"]) == names
-        buckling = json.loads(open(os.path.join(out, "buckling_LF.json")).read())
-        assert buckling["load_case"] == "case_0"
 
     def test_analysis_failure_exits_3(self, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -235,26 +235,6 @@ class TestCompareAeroelastic:
             rep.hf_values["max_real"], abs=1e-12
         )
 
-    def test_still_air_limit(self):
-        # no flow: the operators vanish and what remains is the structure
-        # under its light internal damping, stable and barely subcritical
-        rep = compare_aeroelastic(build(mesh=1), build(mesh=2), flow=None)
-        assert rep.lf_values["max_real"] < 0.0
-        assert rep.hf_values["max_real"] < 0.0
-        eigs = rep.eigenvalue_tables["lf_eigenvalues"]
-        assert np.all(eigs.real < 0.0)
-        assert np.all(np.abs(eigs.real) < 0.03 * np.abs(eigs.imag))
-
-    def test_still_air_frequencies_match_modal(self):
-        m = build(mesh=2)
-        rep = compare_aeroelastic(m, m, flow=None)
-        omega = m.beam.modal(6).omega
-        freqs = np.sort(np.abs(rep.eigenvalue_tables["hf_eigenvalues"].imag))
-        # conjugate pairs collapse onto the (lightly damped) modal frequencies
-        matched = np.sort(np.unique(np.round(freqs, 6)))
-        assert np.allclose(matched[: omega.size // 2], omega[: omega.size // 2],
-                           rtol=1e-4)
-
     def test_eigenvalue_tables_truncated_consistently(self):
         flow = FlowConditions(V=25.0, rho=1.225)
         rep = compare_aeroelastic(build(mesh=1), build(mesh=2), flow)

@@ -18,7 +18,6 @@ from aerotail.constraints import (
     ConstraintLayout,
     LoadCase,
     WingAnalysis,
-    constraint_length,
     pack_design,
     pad_critical,
     unpack_design,
@@ -31,6 +30,7 @@ from aerotail.laminate import (
     lp_from_stack,
 )
 
+from oracles import constraint_length
 from test_aeroelastic import seeded_design, shipped
 from test_fidelity import CFRP, small_definition, small_panels
 

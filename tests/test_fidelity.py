@@ -8,7 +8,7 @@ import pytest
 import aerotail
 from aerotail.aero import Planform
 from aerotail.aeroelastic import AileronDef
-from aerotail.beam import PointMass, cantilever_model, element_frame
+from aerotail.beam import PointMass, element_frame
 from aerotail.config import load_config
 from aerotail.constraints import N_TSAI_WU, LoadCase, pack_design, pad_critical, unpack_design
 from aerotail.fidelity import (
@@ -28,11 +28,12 @@ from aerotail.section import (
     _GAUSS_W,
     _GAUSS_XI,
     BOX_WALLS,
-    SectionProperties,
     _inertia_map,
     condensed_membrane,
     wall_stresses,
 )
+
+from oracles import SectionProperties, cantilever_model
 
 CFRP = MaterialProperties(
     E1=117.9e9,

@@ -10,13 +10,13 @@ import aerotail
 from aerotail import mfopt
 from aerotail.config import load_config
 from aerotail.mfopt import (
-    AnalyticModel,
     build_correction,
     partition_rows,
-    quadratic_benchmark_pair,
     trmm_optimize,
     verify_consistency,
 )
+
+from oracles import AnalyticModel, quadratic_benchmark_pair
 
 
 TOY = os.path.join(os.path.dirname(aerotail.__file__), "data", "toy_two_panel.json")
@@ -221,6 +221,26 @@ class TestLoop:
         for e_prev, e in zip(rep.trace, rep.trace[1:]):
             if np.isnan(e.f_hf):
                 assert e.delta < e_prev.delta
+
+
+class TestSolveCounters:
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_gradient_that_raises_counts_the_evaluates_it_started(self, k):
+        cfg = load_config(TOY)
+        lf, _ = cfg.analyses()
+        real = lf.evaluate
+        started = []
+
+        def evaluate(x):
+            started.append(x)
+            if len(started) == k:
+                raise RuntimeError("probe failed")
+            return real(x)
+
+        lf.evaluate = evaluate  # the k-th probe of the gradient raises
+        counting = mfopt._Counting(lf)
+        assert mfopt._attempt(counting.gradients, cfg.initial_design()) is None
+        assert (counting.grads, counting.evals, counting.solves) == (1, 0, k)
 
 
 class TestSubproblem:

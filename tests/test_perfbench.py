@@ -1,8 +1,10 @@
-"""The benchmark's per-layer probes resolve against the package.
+"""The benchmark's per-layer probes resolve, and its workloads pass their checks.
 
 perfbench/layers.py names functions and methods of aerotail by attribute.
 A refactor that renames or removes one of them breaks `perfbench/run.py
 --trace 1` without failing any other test; these tests catch that.
+perfbench/run.py exits 1 when any operation, output check or final check of
+a workload raises, so a few operations of each workload run here too.
 """
 
 import os
@@ -24,11 +26,12 @@ def perfbench():
     try:
         import layers
         import spans
+        import workloads
 
-        yield layers, spans
+        yield layers, spans, workloads
     finally:
         sys.path.remove(PERFBENCH)
-        for name in ("layers", "spans"):
+        for name in ("layers", "spans", "workloads"):
             sys.modules.pop(name, None)
 
 
@@ -44,7 +47,7 @@ def module_bindings(fn):
 
 
 def test_every_probe_target_exists(perfbench):
-    layers, _ = perfbench
+    layers, _, _ = perfbench
     for probe in layers.PROBES:
         if isinstance(probe.owner, type):
             assert probe.attr in probe.owner.__dict__, f"{probe.owner.__name__}.{probe.attr}"
@@ -55,7 +58,7 @@ def test_every_probe_target_exists(perfbench):
 
 
 def test_install_traces_an_evaluate_and_restores_every_binding(perfbench):
-    layers, spans = perfbench
+    layers, spans, _ = perfbench
     originals = []
     for probe in layers.PROBES:
         if isinstance(probe.owner, type):
@@ -82,3 +85,21 @@ def test_install_traces_an_evaluate_and_restores_every_binding(perfbench):
         for owner, attr, fn in bindings:
             held = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
             assert held is fn, f"{attr} not restored"
+
+
+# seeds and operations per seed of each workload
+WORKLOAD_RUNS = {"toy-mf-opt": ((1,), 1), "wing-eval": ((1, 2, 3), 4), "wing-flutter": ((1,), 1)}
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_RUNS))
+def test_workload_operations_pass_their_checks(perfbench, tmp_path, name):
+    _, _, workloads = perfbench
+    seeds, n_ops = WORKLOAD_RUNS[name]
+    for seed in seeds:
+        w = workloads.Workload(name, os.path.join(PERFBENCH, os.pardir), seed, str(tmp_path))
+        w.setup(1)
+        w.warm_up()
+        for op in range(n_ops):
+            w.run_op(op)
+            w.check_op()
+        w.final_checks()

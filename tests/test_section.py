@@ -7,10 +7,10 @@ from aerotail.laminate import LaminationParameters, MaterialProperties, PanelDes
 from aerotail.section import (
     BOX_WALLS,
     CrossSection,
-    box_section,
-    prescribed_section,
     wall_stresses,
 )
+
+from oracles import box_section, prescribed_section
 
 E_ISO = 71.0e9
 NU_ISO = 0.33
