@@ -16,6 +16,9 @@ lifts to consistent nodal forces and moments (conserving force and moment
 exactly), T_wash turns nodal rotations into control-point incidence, and
 T_vel turns nodal velocities into control-point normal velocity for the
 quasi-steady damping term.
+
+The influence matrix and the coupling maps are array expressions over
+every control-point/vortex pair and every panel; nothing loops over panels.
 """
 
 from __future__ import annotations
@@ -164,18 +167,13 @@ def aic_matrix(lattice: Lattice, mach: float = 0.0, image_sign: float = 1.0) -> 
     (lift, longitudinal) and -1 for antisymmetric ones (roll).  Scaled by
     the Prandtl-Glauert factor.
     """
-    n = lattice.n_panels
-    w = np.empty((n, n))
-    mirror = np.diag([1.0, -1.0, 1.0])
-    for j in range(n):
-        v = _horseshoe_velocity(lattice.cpts, lattice.a_pts[j], lattice.b_pts[j])
-        # image vortex: traverse mirrored b -> mirrored a to keep lift sense
-        v += image_sign * _horseshoe_velocity(
-            lattice.cpts, mirror @ lattice.b_pts[j], mirror @ lattice.a_pts[j]
-        )
-        w[:, j] = v[:, 2]
+    r = lattice.cpts[:, None, :]
+    a, b = lattice.a_pts[None], lattice.b_pts[None]
+    mirror = np.array([1.0, -1.0, 1.0])
+    # image vortex: traverse mirrored b -> mirrored a to keep lift sense
+    v = _horseshoe_velocity(r, a, b) + image_sign * _horseshoe_velocity(r, b * mirror, a * mirror)
     beta = float(np.sqrt(1.0 - mach**2))
-    return beta * w
+    return beta * v[..., 2]
 
 
 def coupling_maps(lattice: Lattice, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,28 +192,23 @@ def coupling_maps(lattice: Lattice, nodes: np.ndarray) -> tuple[np.ndarray, np.n
     t_load = np.zeros((n_dof, n_p))
     t_wash = np.zeros((n_p, n_dof))
     t_vel = np.zeros((n_p, n_dof))
-    for p in range(n_p):
-        y_cp = lattice.cpts[p, 1]
-        seg = int(np.clip(np.searchsorted(ys, y_cp) - 1, 0, n_nodes - 2))
-        w1 = (ys[seg + 1] - y_cp) / (ys[seg + 1] - ys[seg])
-        weights = ((seg, w1), (seg + 1, 1.0 - w1))
+    y_cp = lattice.cpts[:, 1]
+    seg = np.clip(np.searchsorted(ys, y_cp) - 1, 0, n_nodes - 2)
+    w1 = (ys[seg + 1] - y_cp) / (ys[seg + 1] - ys[seg])
+    panels = np.arange(n_p)
+    for node, w in ((seg, w1), (seg + 1, 1.0 - w1)):
         # unit lift at the bound-leg midpoint: force plus transfer moment
-        lp = lattice.load_pts[p]
-        for node, w in weights:
-            arm = lp - nodes[node]
-            t_load[6 * node + 2, p] += w
-            t_load[6 * node + 3, p] += w * arm[1]  # Mx = +dy * Fz
-            t_load[6 * node + 4, p] += -w * arm[0]  # My = -dx * Fz
+        arm = lattice.load_pts - nodes[node]
+        t_load[6 * node + 2, panels] += w
+        t_load[6 * node + 3, panels] += w * arm[:, 1]  # Mx = +dy * Fz
+        t_load[6 * node + 4, panels] += -w * arm[:, 0]  # My = -dx * Fz
         # twist rotation sets incidence; vertical motion has no steady effect
-        for node, w in weights:
-            t_wash[p, 6 * node + 4] += w
+        t_wash[panels, 6 * node + 4] += w
         # upward velocity of the control point rigidly attached to the beam
-        cp = lattice.cpts[p]
-        for node, w in weights:
-            arm = cp - nodes[node]
-            t_vel[p, 6 * node + 2] += w
-            t_vel[p, 6 * node + 3] += w * arm[1]
-            t_vel[p, 6 * node + 4] += -w * arm[0]
+        arm = lattice.cpts - nodes[node]
+        t_vel[panels, 6 * node + 2] += w
+        t_vel[panels, 6 * node + 3] += w * arm[:, 1]
+        t_vel[panels, 6 * node + 4] += -w * arm[:, 0]
     return t_load, t_wash, t_vel
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aero import FlowConditions, aero_operators
-from .aeroelastic import dynamic_stability
+from .aeroelastic import N_MODES, dynamic_stability
 from .fidelity import WingModel
 
 __all__ = [
@@ -162,23 +162,28 @@ def _swap_flag(m: np.ndarray) -> bool:
 
 
 def compare_modal(lf: WingModel, hf: WingModel) -> ComparisonReport:
-    """Frequency table plus full MAC matrix of N_MODAL modes on the shared node set."""
-    res_lf = lf.beam.modal(N_MODAL)
-    res_hf = hf.beam.modal(N_MODAL)
+    """Frequency table plus full MAC matrix of N_MODAL modes on the shared node set.
+
+    The modes are the leading N_MODAL of the beams' stability basis
+    (modal(N_MODES)), so a later stability solve reuses the one eigensolve.
+    """
+    res_lf = lf.beam.modal(max(N_MODAL, N_MODES))
+    res_hf = hf.beam.modal(max(N_MODAL, N_MODES))
+    omega_lf, omega_hf = res_lf.omega[:N_MODAL], res_hf.omega[:N_MODAL]
     i_lf, i_hf = shared_node_dofs(lf, hf)
-    m = mac_matrix(res_lf.shapes[i_lf], res_hf.shapes[i_hf])
-    k = min(res_lf.omega.size, res_hf.omega.size)
+    m = mac_matrix(res_lf.shapes[i_lf, :N_MODAL], res_hf.shapes[i_hf, :N_MODAL])
+    k = min(omega_lf.size, omega_hf.size)
     errors = {
-        f"omega_{i + 1}": relative_error(res_lf.omega[i], res_hf.omega[i])
+        f"omega_{i + 1}": relative_error(omega_lf[i], omega_hf[i])
         for i in range(k)
     }
     d = np.diag(m)[: min(N_CHECK, k)]
     return ComparisonReport(
         case=2,
-        lf_values={f"omega_{i + 1}": float(res_lf.omega[i]) for i in range(k)},
-        hf_values={f"omega_{i + 1}": float(res_hf.omega[i]) for i in range(k)},
+        lf_values={f"omega_{i + 1}": float(omega_lf[i]) for i in range(k)},
+        hf_values={f"omega_{i + 1}": float(omega_hf[i]) for i in range(k)},
         relative_errors=errors,
-        eigenvalue_tables={"lf_omega": res_lf.omega, "hf_omega": res_hf.omega},
+        eigenvalue_tables={"lf_omega": omega_lf, "hf_omega": omega_hf},
         mac=m,
         flags={
             "matched_modes": bool(np.all(d > MODAL_MAC_THRESHOLD)),

@@ -21,12 +21,14 @@ closed-form models.
 
 The report counts calls per level (n_*_evals, n_*_grads) and model solves
 (n_*_solves): evaluates plus the finite-difference probes of every gradient,
-those of a gradient call that raised included.  The single-fidelity run
-counts everything against HF and reports 0 on LF.
+those of a gradient call that raised included, and the wall time spent
+inside each level's models (lf_seconds, hf_seconds).  The single-fidelity
+run counts everything against HF and reports 0 on LF.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -175,6 +177,8 @@ class _Counting:
     solves counts model evaluations: every evaluate that reaches the model
     plus the n_evaluates of every gradient, read from the result or, when
     the gradient call raises, from the exception (0 when it carries none).
+    seconds sums the wall time spent inside the model's evaluate and
+    gradients, raising calls included.
     """
 
     def __init__(self, model):
@@ -182,19 +186,27 @@ class _Counting:
         self.evals = 0
         self.grads = 0
         self.solves = 0
+        self.seconds = 0.0
 
     def evaluate(self, x) -> ModelOutputs:
         self.evals += 1
         self.solves += 1
-        return self.model.evaluate(x)
+        t0 = time.perf_counter()
+        try:
+            return self.model.evaluate(x)
+        finally:
+            self.seconds += time.perf_counter() - t0
 
     def gradients(self, x) -> GradientResult:
         self.grads += 1
+        t0 = time.perf_counter()
         try:
             out = self.model.gradients(x)
         except (ValueError, RuntimeError) as exc:
             self.solves += getattr(exc, "n_evaluates", 0)
             raise
+        finally:
+            self.seconds += time.perf_counter() - t0
         self.solves += out.n_evaluates
         return out
 
@@ -295,6 +307,8 @@ class OptimizerReport:
     n_lf_grads: int
     n_hf_solves: int  # evaluates plus gradient probes, as _Counting.solves
     n_lf_solves: int
+    hf_seconds: float  # wall time inside the model's evaluate and gradients, as _Counting.seconds
+    lf_seconds: float
     termination: str
     restorations: int = 0
     nonsmooth_encounters: int = 0
@@ -448,6 +462,8 @@ def trmm_optimize(
             n_lf_grads=0 if lf_count is hf_count else lf_count.grads,
             n_hf_solves=hf_count.solves,
             n_lf_solves=0 if lf_count is hf_count else lf_count.solves,
+            hf_seconds=hf_count.seconds,
+            lf_seconds=0.0 if lf_count is hf_count else lf_count.seconds,
             termination=term,
             restorations=restos,
             nonsmooth_encounters=nonsm,

@@ -1,7 +1,8 @@
 """Verification references the tests check the package against.
 
 Nothing in the package calls these: handbook sections, straight
-cantilevers, the rigid steady vortex-lattice solve, the static divergence
+cantilevers, the per-panel vortex-lattice influence and coupling loops, the
+rigid steady vortex-lattice solve, the static divergence
 eigenproblem, the constraint-vector length formula and a closed-form
 LF/HF model pair for the optimizer.
 """
@@ -13,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from aerotail.aero import AeroOperators, FlowConditions, Lattice, aic_matrix
+from aerotail.aero import (
+    AeroOperators,
+    FlowConditions,
+    Lattice,
+    _horseshoe_velocity,
+    aic_matrix,
+)
 from aerotail.aeroelastic import N_STABILITY
 from aerotail.beam import BeamModel, ElementGeometry, ElementSet, PointMass
 from aerotail.constraints import N_FEASIBILITY, N_TSAI_WU, GradientResult, ModelOutputs
@@ -103,6 +110,63 @@ def cantilever_model(
 
 
 # -- aerodynamics and aeroelasticity ----------------------------------------------
+
+
+def aic_matrix_per_panel(
+    lattice: Lattice, mach: float = 0.0, image_sign: float = 1.0
+) -> np.ndarray:
+    """aic_matrix one horseshoe column at a time, the reference of the broadcast kernel."""
+    n = lattice.n_panels
+    w = np.empty((n, n))
+    mirror = np.diag([1.0, -1.0, 1.0])
+    for j in range(n):
+        v = _horseshoe_velocity(lattice.cpts, lattice.a_pts[j], lattice.b_pts[j])
+        # image vortex: traverse mirrored b -> mirrored a to keep lift sense
+        v += image_sign * _horseshoe_velocity(
+            lattice.cpts, mirror @ lattice.b_pts[j], mirror @ lattice.a_pts[j]
+        )
+        w[:, j] = v[:, 2]
+    beta = float(np.sqrt(1.0 - mach**2))
+    return beta * w
+
+
+def coupling_maps_per_panel(
+    lattice: Lattice, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """coupling_maps one panel at a time, the reference of the broadcast maps."""
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
+    n_nodes = nodes.shape[0]
+    ys = nodes[:, 1]
+    if np.any(np.diff(ys) <= 0):
+        raise ValueError("beam nodes must increase monotonically in y")
+    n_dof = 6 * n_nodes
+    n_p = lattice.n_panels
+    t_load = np.zeros((n_dof, n_p))
+    t_wash = np.zeros((n_p, n_dof))
+    t_vel = np.zeros((n_p, n_dof))
+    for p in range(n_p):
+        y_cp = lattice.cpts[p, 1]
+        seg = int(np.clip(np.searchsorted(ys, y_cp) - 1, 0, n_nodes - 2))
+        w1 = (ys[seg + 1] - y_cp) / (ys[seg + 1] - ys[seg])
+        weights = ((seg, w1), (seg + 1, 1.0 - w1))
+        # unit lift at the bound-leg midpoint: force plus transfer moment
+        lp = lattice.load_pts[p]
+        for node, w in weights:
+            arm = lp - nodes[node]
+            t_load[6 * node + 2, p] += w
+            t_load[6 * node + 3, p] += w * arm[1]  # Mx = +dy * Fz
+            t_load[6 * node + 4, p] += -w * arm[0]  # My = -dx * Fz
+        # twist rotation sets incidence; vertical motion has no steady effect
+        for node, w in weights:
+            t_wash[p, 6 * node + 4] += w
+        # upward velocity of the control point rigidly attached to the beam
+        cp = lattice.cpts[p]
+        for node, w in weights:
+            arm = cp - nodes[node]
+            t_vel[p, 6 * node + 2] += w
+            t_vel[p, 6 * node + 3] += w * arm[1]
+            t_vel[p, 6 * node + 4] += -w * arm[0]
+    return t_load, t_wash, t_vel
 
 
 @dataclass

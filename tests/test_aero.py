@@ -1,8 +1,11 @@
 """Vortex lattice tests: influence kernels, lift slope, coupling maps."""
 
+import os
+
 import numpy as np
 import pytest
 
+import aerotail
 from aerotail.aero import (
     FlowConditions,
     Planform,
@@ -14,7 +17,9 @@ from aerotail.aero import (
     coupling_maps,
 )
 
-from oracles import steady_solve
+from aerotail.config import load_config
+
+from oracles import aic_matrix_per_panel, coupling_maps_per_panel, steady_solve
 
 
 class TestKernels:
@@ -146,6 +151,45 @@ class TestCoupling:
         nodes[3, 1] = nodes[2, 1]
         with pytest.raises(ValueError, match="monotonically"):
             coupling_maps(self.lat, nodes)
+
+
+def shipped_lattices():
+    """(label, lattice, beam nodes) of both levels of both shipped configs."""
+    out = []
+    for name in ("toy_two_panel.json", "wing_default.json"):
+        cfg = load_config(os.path.join(os.path.dirname(aerotail.__file__), "data", name))
+        for level, analysis in zip(("LF", "HF"), cfg.analyses()):
+            model = analysis.build_model(cfg.initial_design())
+            out.append((f"{name}-{level}", model.lattice, model.beam.nodes))
+    return out
+
+
+class TestBroadcastKernels:
+    """The broadcast kernels reproduce the per-panel loops bit for bit."""
+
+    # tapered, three chordwise rows, beam nodes off the strip edges
+    CASES = [
+        *shipped_lattices(),
+        (
+            "tapered-nx3",
+            build_lattice(Planform(6.0, 1.8, 0.5), nx=3, ny=7),
+            beam_nodes(6.0, 5, x_ea=0.4) + np.array([0.0, 0.0, 0.02]),
+        ),
+    ]
+
+    @pytest.mark.parametrize("mach", [0.0, 0.5])
+    @pytest.mark.parametrize("image_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_aic_matrix(self, case, mach, image_sign):
+        _, lat, _ = case
+        w = aic_matrix(lat, mach, image_sign)
+        assert np.array_equal(w, aic_matrix_per_panel(lat, mach, image_sign))
+
+    @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+    def test_coupling_maps(self, case):
+        _, lat, nodes = case
+        for new, ref in zip(coupling_maps(lat, nodes), coupling_maps_per_panel(lat, nodes)):
+            assert np.array_equal(new, ref)
 
 
 class TestValidation:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -285,8 +286,13 @@ class TestOptimize:
 
     def test_solve_counters_include_gradient_probes(self, tmp_path):
         out = str(tmp_path / "o")
+        t0 = time.perf_counter()
         assert run("optimize", "--config", TOY, "--budget", "3", "--out", out) == EXIT_OK
+        wall = time.perf_counter() - t0
         doc = json.loads(open(os.path.join(out, "optimize.json")).read())
+        # time inside the models, per level, is part of the run's wall time
+        assert 0.0 < doc["lf_seconds"] <= wall and 0.0 < doc["hf_seconds"] <= wall
+        assert doc["lf_seconds"] + doc["hf_seconds"] <= wall
         assert doc["n_lf_grads"] > 0 and doc["n_hf_grads"] > 0
         # a toy gradient probes xiA1..4 and t of both panels, twice each
         assert doc["n_lf_solves"] == doc["n_lf_evals"] + 20 * doc["n_lf_grads"]

@@ -1,10 +1,15 @@
 """Model cross-checks: MAC, shared node sets, and the three comparison cases."""
 
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import aerotail
+from aerotail import beam as beam_module
 from aerotail.aero import FlowConditions, Planform
-from aerotail.aeroelastic import AileronDef
+from aerotail.aeroelastic import AileronDef, critical_speed
 from aerotail.compare import (
     N_MODAL,
     compare_aeroelastic,
@@ -15,6 +20,7 @@ from aerotail.compare import (
     relative_error,
     shared_node_dofs,
 )
+from aerotail.config import load_config
 from aerotail.fidelity import FidelityConfig, WingDefinition, build_wing_model
 from aerotail.laminate import MaterialProperties, PanelDesign, lp_from_stack
 
@@ -220,6 +226,44 @@ class TestCompareModal:
         assert rep.eigenvalue_tables["lf_omega"].size == N_MODAL
         assert rep.eigenvalue_tables["hf_omega"].size == N_MODAL
         assert set(rep.lf_values) == {f"omega_{i}" for i in range(1, N_MODAL + 1)}
+
+
+class TestOneEigensolvePerBeam:
+    """compare_modal shares its modes with the stability basis of the same beam."""
+
+    def setup_method(self):
+        cfg = load_config(os.path.join(os.path.dirname(aerotail.__file__), "data",
+                                       "wing_default.json"))
+        lf, hf = cfg.analyses()
+        x = cfg.initial_design()
+        self.lf, self.hf = lf.build_model(x), hf.build_model(x)
+        cruise = cfg.loadcases[0]
+        self.cruise = cruise
+        self.flow_of_v = lambda v: FlowConditions(V=v, rho=cruise.rho, mach=cruise.mach)
+
+    def test_flutter_sequence_solves_each_beam_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return scipy.linalg.eigh(*args, **kwargs)
+
+        monkeypatch.setattr(beam_module, "eigh", counted)
+        compare_modal(self.lf, self.hf)
+        compare_aeroelastic(self.lf, self.hf, self.flow_of_v(self.cruise.V))
+        for model in (self.lf, self.hf):
+            critical_speed(model.beam, model.lattice, self.flow_of_v, 150.0, 600.0)
+        assert len(calls) == 2
+
+    def test_modal_omegas_match_a_direct_subset_solve(self):
+        rep = compare_modal(self.lf, self.hf)
+        for model, key in ((self.lf, "lf_omega"), (self.hf, "hf_omega")):
+            beam = model.beam
+            ix = np.ix_(beam.free, beam.free)
+            w2 = scipy.linalg.eigh(beam.stiffness()[ix], beam.mass()[ix], eigvals_only=True,
+                                   subset_by_index=[0, N_MODAL - 1])
+            assert rep.eigenvalue_tables[key].size == N_MODAL
+            np.testing.assert_allclose(rep.eigenvalue_tables[key], np.sqrt(w2), rtol=1e-8)
 
 
 class TestCompareAeroelastic:

@@ -88,7 +88,11 @@ def test_install_traces_an_evaluate_and_restores_every_binding(perfbench):
 
 
 # seeds and operations per seed of each workload
-WORKLOAD_RUNS = {"toy-mf-opt": ((1,), 1), "wing-eval": ((1, 2, 3), 4), "wing-flutter": ((1,), 1)}
+WORKLOAD_RUNS = {
+    "toy-mf-opt": ((1,), 1),
+    "wing-eval": ((1, 2, 3, 4, 5, 6, 7, 8), 4),
+    "wing-flutter": ((1, 2, 3), 1),
+}
 
 
 @pytest.mark.parametrize("name", list(WORKLOAD_RUNS))
