@@ -46,10 +46,6 @@ class Planform:
         frac = np.asarray(y, dtype=float) / self.semi_span
         return self.root_chord + (self.tip_chord - self.root_chord) * frac
 
-    @property
-    def area(self) -> float:
-        return 0.5 * (self.root_chord + self.tip_chord) * self.semi_span
-
 
 @dataclass(frozen=True)
 class FlowConditions:
@@ -65,10 +61,6 @@ class FlowConditions:
             raise ValueError("V and rho must be positive")
         if not 0.0 <= self.mach < 1.0:
             raise ValueError("mach must lie in [0, 1)")
-
-    @property
-    def q(self) -> float:
-        return 0.5 * self.rho * self.V**2
 
     @property
     def beta(self) -> float:
@@ -91,10 +83,6 @@ class Lattice:
     @property
     def n_panels(self) -> int:
         return self.cpts.shape[0]
-
-    @property
-    def area(self) -> float:
-        return float(self.areas.sum())
 
 
 def build_lattice(planform: Planform, nx: int, ny: int) -> Lattice:

@@ -8,16 +8,18 @@ assembles the first-order state matrix
 
     d/dt [u, v] = [[0, I], [-M^-1 (K - K_a), -M^-1 (C_s - D_a)]] [u, v]
 
-on the free dofs, with light Rayleigh damping calibrated on the first two
-structural modes.  Models with more than N_MODES free dofs solve it in
-modal coordinates: the lowest N_MODES mass-normalised structural modes
-span u, which turns the 2n-order state matrix into a 2 N_MODES one (the
-modal-coordinate flutter model of Hodges & Pierce, Introduction to
-Structural Dynamics and Aeroelasticity, 2011).  Aileron effectiveness
-solves the antisymmetric-image problem, since a rolling control input loads
-the two half wings with opposite sign.
+with light Rayleigh damping calibrated on the first two structural modes.
+Its stability basis holds M, K and C_s in its coordinates and assembles
+that matrix for dynamic_stability and the flutter margin alike.  Models
+with more than N_MODES free dofs solve it in modal coordinates: the lowest
+N_MODES mass-normalised structural modes span u, which turns the 2n-order
+state matrix into a 2 N_MODES one (the modal-coordinate flutter model of
+Hodges & Pierce, Introduction to Structural Dynamics and Aeroelasticity,
+2011).  Aileron effectiveness solves the antisymmetric-image problem, since
+a rolling control input loads the two half wings with opposite sign.
 
-The same models take structured solves everywhere (`_modal` picks them):
+The same models take structured solves everywhere; _solve_free and
+_stability_basis pick them:
 
 - K_ff is banded (half-bandwidth 11 on the shipped wings), so the model
   factors it once in band form.
@@ -28,10 +30,9 @@ The same models take structured solves everywhere (`_modal` picks them):
   row when trimmed, closes the update (the Woodbury identity; Hager, SIAM
   Review, 1989).  That is not backward stable, so both solves check their
   equilibrium residual.
-- In modal coordinates K and the Rayleigh damping are diagonal, so the
-  state matrix is Lambda - Phi' K_a Phi and a I + b Lambda - Phi' D_a Phi,
-  with Lambda the squared basis frequencies and the aero operators read
-  only on their support.
+- In modal coordinates M is the identity and K and the Rayleigh damping
+  are diagonal, Lambda and a I + b Lambda with Lambda the squared basis
+  frequencies, and the aero operators are read only on their support.
 
 Models up to N_MODES free dofs keep dense solves on their free dofs: on the
 toy wing, whose K_a has 3 and 6 support columns, the low-rank trim measured
@@ -108,6 +109,29 @@ def _low_rank_solve(
     return y[:, 0] + y[:, 2:] @ sol[:m] + y[:, 1] * sol[m], sol[m]
 
 
+def _solve_free(
+    model: BeamModel,
+    k_a: np.ndarray,
+    k_wash: np.ndarray,
+    wash: np.ndarray,
+    b: np.ndarray,
+    border: tuple | None = None,
+) -> tuple[np.ndarray, float]:
+    """Free-dof u with (K - k_a)_ff u = b, bordered as in _low_rank_solve; returns (u, s).
+
+    _modal models go through _low_rank_solve with k_a = k_wash wash; smaller
+    ones solve (K - k_a)_ff by dense LU, bordered when border is given.
+    """
+    if _modal(model):
+        return _low_rank_solve(model, k_wash, wash, b, border)
+    a = model.free_block(model.stiffness() - k_a)
+    if border is None:
+        return scipy.linalg.solve(a, b), 0.0
+    c, l, d, t = border
+    sol = scipy.linalg.solve(np.block([[a, -c[:, None]], [l, d]]), np.r_[b, t])
+    return sol[:-1], sol[-1]
+
+
 @dataclass
 class StaticAeroelasticResult:
     u: np.ndarray
@@ -129,9 +153,9 @@ def static_aeroelastic(
     aerodynamic lift of the modeled half wing is driven to that value.  The
     problem is linear in (u, alpha), so one solve from u = 0 gives the
     equilibrium: (K - K_a)_ff at fixed incidence, the same block bordered by
-    the lift row when trimmed; _modal models solve it by _low_rank_solve.
-    The residuals of equilibrium and lift target are then checked against
-    _TRIM_TOL; a miss raises RuntimeError.
+    the lift row when trimmed, both by _solve_free.  The residuals of
+    equilibrium and lift target are then checked against _TRIM_TOL; a miss
+    raises RuntimeError.
     """
     n_dof = model.n_dof
     free = model.free
@@ -145,26 +169,14 @@ def static_aeroelastic(
     lift_scale = max(abs(trim_lift) if trim else 0.0, np.abs(ops.f_alpha).sum(), 1.0)
     force_scale = max(np.linalg.norm(f_rigid + extra), lift_scale)
 
-    rhs = (f_rigid + extra)[free]
-    if _modal(model):
-        border = None
-        if trim:
-            border = (ops.f_alpha[free], ops.lift_row[free], ops.lift_alpha,
-                      trim_lift - sz @ f_rigid)
-        u[free], d_alpha = _low_rank_solve(model, ops.k_wash, ops.wash, rhs, border)
-        alpha += d_alpha
-    elif trim:
-        nf = free.size
-        jac = np.zeros((nf + 1, nf + 1))
-        jac[:nf, :nf] = model.free_block(k - ops.K_a)
-        jac[:nf, nf] = -ops.f_alpha[free]
-        jac[nf, :nf] = ops.lift_row[free]
-        jac[nf, nf] = ops.lift_alpha
-        step = scipy.linalg.solve(jac, np.concatenate([rhs, [trim_lift - sz @ f_rigid]]))
-        u[free] += step[:nf]
-        alpha += step[nf]
-    else:
-        u[free] += scipy.linalg.solve(model.free_block(k - ops.K_a), rhs)
+    border = None
+    if trim:
+        border = (ops.f_alpha[free], ops.lift_row[free], ops.lift_alpha,
+                  trim_lift - sz @ f_rigid)
+    u[free], d_alpha = _solve_free(
+        model, ops.K_a, ops.k_wash, ops.wash, (f_rigid + extra)[free], border
+    )
+    alpha += d_alpha
 
     f_aero = ops.K_a @ u + ops.f_alpha * alpha
     r_struct = (k @ u - f_aero - extra)[free]
@@ -190,7 +202,7 @@ def _rayleigh_coefficients(omega: np.ndarray) -> tuple[float, float]:
 def rayleigh_damping(model: BeamModel) -> np.ndarray:
     """Mass plus stiffness proportional damping, ZETA at the two lowest modes."""
     # one element already leaves 6 free dofs, so two modes always exist
-    a, b = _rayleigh_coefficients(model.modal(_calibration_modes(model)).omega)
+    a, b = _rayleigh_coefficients(model.modal(2).omega)
     return a * model.mass() + b * model.stiffness()
 
 
@@ -198,20 +210,25 @@ def rayleigh_damping(model: BeamModel) -> np.ndarray:
 class StabilityBasis:
     """Structural coordinates of the stability problem on the free dofs of model.
 
-    phi None is the identity basis, the free dofs themselves, with M^-1
-    applied through the mass Cholesky factor cho.  Otherwise phi holds
-    mass-normalised structural modes as columns, so the projected mass is
-    the identity; _modal_blocks projects in that basis.
+    phi None is the identity basis, the free dofs themselves: stiffness and
+    damping are the free-dof blocks of K and rayleigh_damping, and M^-1
+    goes through the mass Cholesky factor cho.  Otherwise phi holds the
+    lowest N_MODES mass-normalised structural modes as columns, so the
+    projected mass is the identity, K is diag(Lambda) with Lambda their
+    squared frequencies, and the Rayleigh damping calibrated on them is
+    diag(a + b Lambda).
     """
 
     model: BeamModel
     phi: np.ndarray | None  # (n_free, size)
     cho: tuple | None
+    stiffness: np.ndarray  # K in basis coordinates, (size, size)
+    damping: np.ndarray  # C_s in basis coordinates, (size, size)
 
     @property
     def size(self) -> int:
         """Number of coordinates; n_free for the identity basis."""
-        return self.model.free.size if self.phi is None else self.phi.shape[1]
+        return self.stiffness.shape[0]
 
     @property
     def omega_max(self) -> float:
@@ -221,53 +238,50 @@ class StabilityBasis:
         """
         return float(self.model.modal(self.size).omega[-1])
 
-    def project(self, a_ff: np.ndarray) -> np.ndarray:
-        """M^-1 A in the identity basis, for A on the free dofs."""
-        return scipy.linalg.cho_solve(self.cho, a_ff)
+    def aero(self, ops: AeroOperators) -> tuple[np.ndarray, np.ndarray]:
+        """K_a and D_a in basis coordinates; the modes read each on its support."""
+        if self.phi is None:
+            return self.model.free_block(ops.K_a), self.model.free_block(ops.D_a)
+        shapes = self.model.modal(self.size).shapes
+        return ops.K_a_support.project(shapes), ops.D_a_support.project(shapes)
+
+    def state_matrix(self, k_a: np.ndarray, d_a: np.ndarray) -> np.ndarray:
+        """[[0, I], [-M^-1 (K - k_a), -M^-1 (C_s - d_a)]] for k_a, d_a in basis coordinates.
+
+        In Fortran order, so eigvals can overwrite it in place.
+        """
+        n = self.size
+        a = np.zeros((2 * n, 2 * n), order="F")
+        a[:n, n:] = np.eye(n)
+        a[n:, :n] = -self._m_inv(self.stiffness - k_a)
+        a[n:, n:] = -self._m_inv(self.damping - d_a)
+        return a
+
+    def _m_inv(self, a: np.ndarray) -> np.ndarray:
+        return a if self.cho is None else scipy.linalg.cho_solve(self.cho, a)
 
     def expand(self, q: np.ndarray) -> np.ndarray:
         """Free-dof displacements of basis coordinates q."""
         return q if self.phi is None else self.phi @ q
 
 
-def _calibration_modes(model: BeamModel) -> int:
-    """Mode count whose two lowest frequencies calibrate rayleigh_damping.
-
-    Models solved in the N_MODES basis take them from the basis modes, so
-    no separate eigensolve runs; smaller models solve for two modes.
-    """
-    return N_MODES if _modal(model) else 2
-
-
 def _stability_basis(model: BeamModel) -> StabilityBasis:
     """Identity basis up to N_MODES free dofs, the lowest N_MODES modes beyond.
 
     The modes come from model.modal, which the model caches, so neither
-    another load case nor another speed recomputes them.
+    another load case nor another speed recomputes them; the modal basis
+    calibrates its Rayleigh damping on them too.
     """
     if not _modal(model):
-        cho = scipy.linalg.cho_factor(model.free_block(model.mass()))
-        return StabilityBasis(model, None, cho)
-    return StabilityBasis(model, model.modal(N_MODES).shapes[model.free], None)
-
-
-def _modal_blocks(model: BeamModel, ops: AeroOperators) -> tuple[np.ndarray, ...]:
-    """Lambda, the damping diagonal a + b Lambda, Phi' K_a Phi and Phi' D_a Phi.
-
-    Phi holds the N_MODES mass-normalised modes of the basis, so Phi' K Phi
-    is Lambda, their squared frequencies, and the Rayleigh damping projects
-    to a + b Lambda; only the aero operators are projected, each read on its
-    support.
-    """
+        block = model.free_block
+        cho = scipy.linalg.cho_factor(block(model.mass()))
+        return StabilityBasis(model, None, cho, block(model.stiffness()),
+                              block(rayleigh_damping(model)))
     modes = model.modal(N_MODES)
     omega2 = modes.omega**2
     a, b = _rayleigh_coefficients(modes.omega)
-    return (
-        omega2,
-        a + b * omega2,
-        ops.K_a_support.project(modes.shapes),
-        ops.D_a_support.project(modes.shapes),
-    )
+    return StabilityBasis(model, modes.shapes[model.free], None, np.diag(omega2),
+                          np.diag(a + b * omega2))
 
 
 @dataclass
@@ -293,15 +307,7 @@ def dynamic_stability(
     """
     basis = _stability_basis(model)
     n = basis.size
-    a = np.zeros((2 * n, 2 * n), order="F")  # eigvals can then overwrite it in place
-    a[:n, n:] = np.eye(n)
-    if _modal(model):
-        omega2, damp, m_ka, m_da = _modal_blocks(model, ops)
-        a[n:, :n] = m_ka - np.diag(omega2)
-        a[n:, n:] = m_da - np.diag(damp)
-    else:
-        a[n:, :n] = -basis.project(model.free_block(model.stiffness() - ops.K_a))
-        a[n:, n:] = -basis.project(model.free_block(rayleigh_damping(model) - ops.D_a))
+    a = basis.state_matrix(*basis.aero(ops))
     if shapes:
         lam, vec = scipy.linalg.eig(a)
     else:
@@ -398,19 +404,14 @@ def aileron_operators(
 def aileron_solve(model: BeamModel, ops: AileronOperators) -> AileronResult:
     """Flexible response of the beam to unit aileron deflection.
 
-    (K - k_a)_ff u = f_delta is solved densely, or by _low_rank_solve on
-    _modal models, and its residual is checked against _TRIM_TOL as the
-    trim's is; a miss raises RuntimeError.
+    (K - k_a)_ff u = f_delta is solved by _solve_free, and its residual is
+    checked against _TRIM_TOL as the trim's is; a miss raises RuntimeError.
     """
     lattice, flow = ops.lattice, ops.flow
     free = model.free
-    k = model.stiffness()
     u = np.zeros(model.n_dof)
-    if _modal(model):
-        u[free], _ = _low_rank_solve(model, ops.k_wash, ops.wash, ops.f_delta[free])
-    else:
-        u[free] = scipy.linalg.solve(model.free_block(k - ops.k_a), ops.f_delta[free])
-    r_struct = (k @ u - ops.k_a @ u - ops.f_delta)[free]
+    u[free], _ = _solve_free(model, ops.k_a, ops.k_wash, ops.wash, ops.f_delta[free])
+    r_struct = (model.stiffness() @ u - ops.k_a @ u - ops.f_delta)[free]
     if np.linalg.norm(r_struct) > _TRIM_TOL * max(np.abs(ops.f_delta).sum(), 1.0):
         raise RuntimeError("aileron solve missed equilibrium")
     gamma_f = np.linalg.solve(ops.w_anti, -flow.V * (ops.alpha_delta + ops.t_wash @ u))
@@ -436,32 +437,20 @@ def _stability_margin(
 ) -> Callable[[float], float]:
     """Largest state-matrix eigenvalue real part as a function of speed.
 
-    Everything that does not depend on the speed is built once: the basis
-    of dynamic_stability, and M^-1 K, M^-1 C_s and the unit-flow aero
-    operators projected onto it.  The AIC is beta times the incompressible
+    The basis of dynamic_stability and the unit-flow aero operators in its
+    coordinates are built once.  The AIC is beta times the incompressible
     one, so at any flow K_a scales by rho V^2 / beta and D_a by rho V / beta,
-    and each speed costs two scaled block updates and an eigenvalue-only
-    eig.  Matches dynamic_stability(...).max_real to roundoff.
+    and each speed costs one basis.state_matrix, the assembly that
+    dynamic_stability uses, and an eigenvalue-only eig.  At unit flow it
+    equals dynamic_stability(...).max_real.
     """
     basis = _stability_basis(model)
-    n = basis.size
-    unit = aero_operators(lattice, FlowConditions(V=1.0, rho=1.0), model.nodes)
-    if _modal(model):
-        omega2, damp, m_ka, m_da = _modal_blocks(model, unit)
-        m_k, m_c = np.diag(omega2), np.diag(damp)
-    else:
-        m_k = basis.project(model.free_block(model.stiffness()))
-        m_c = basis.project(model.free_block(rayleigh_damping(model)))
-        m_ka = basis.project(model.free_block(unit.K_a))
-        m_da = basis.project(model.free_block(unit.D_a))
+    k_a, d_a = basis.aero(aero_operators(lattice, FlowConditions(V=1.0, rho=1.0), model.nodes))
 
     def margin(v: float) -> float:
         flow = flow_of_v(v)
         rv_beta = flow.rho * flow.V / flow.beta
-        a = np.zeros((2 * n, 2 * n), order="F")  # geev then works in place
-        a[:n, n:] = np.eye(n)
-        a[n:, :n] = (rv_beta * flow.V) * m_ka - m_k
-        a[n:, n:] = rv_beta * m_da - m_c
+        a = basis.state_matrix((rv_beta * flow.V) * k_a, rv_beta * d_a)
         return float(scipy.linalg.eigvals(a, overwrite_a=True).real.max())
 
     return margin

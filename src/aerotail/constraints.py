@@ -202,10 +202,6 @@ class ModelOutputs:
     nonsmooth: np.ndarray
     details: dict = field(default_factory=dict)
 
-    def max_violation(self) -> float:
-        avail = self.c[self.mask]
-        return float(max(0.0, np.max(avail))) if avail.size else 0.0
-
 
 @dataclass
 class GradientResult:

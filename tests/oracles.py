@@ -3,8 +3,9 @@
 Nothing in the package calls these: handbook sections, straight
 cantilevers, the per-panel vortex-lattice influence and coupling loops, the
 rigid steady vortex-lattice solve, the static divergence
-eigenproblem, the constraint-vector length formula and a closed-form
-LF/HF model pair for the optimizer.
+eigenproblem, the largest constraint violation of an evaluate, the
+constraint-vector length formula and a closed-form LF/HF model pair for
+the optimizer.
 """
 
 from __future__ import annotations
@@ -192,7 +193,9 @@ def steady_solve(
     gamma = np.linalg.solve(w, -flow.V * alpha)
     lift = flow.rho * flow.V * gamma * lattice.dy
     total = float(lift.sum())
-    return SteadyResult(gamma=gamma, panel_lift=lift, total_lift=total, cl=total / (flow.q * lattice.area))
+    q = 0.5 * flow.rho * flow.V**2
+    return SteadyResult(gamma=gamma, panel_lift=lift, total_lift=total,
+                        cl=total / (q * lattice.areas.sum()))
 
 
 def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
@@ -211,6 +214,12 @@ def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
 
 
 # -- constraint stack --------------------------------------------------------------
+
+
+def max_violation(out: ModelOutputs) -> float:
+    """Largest available constraint value, or 0.0 when every available row is satisfied."""
+    avail = out.c[out.mask]
+    return float(max(0.0, np.max(avail))) if avail.size else 0.0
 
 
 def constraint_length(n_lc: int, n_panels: int, n_stations: int) -> int:

@@ -219,16 +219,40 @@ class TestStabilityMargin:
         "rho_of_v": lambda v: FlowConditions(V=v, rho=1.225 * np.exp(-v / 150.0), mach=0.3),
     }
 
-    @pytest.mark.parametrize("flow", sorted(FLOWS))
-    def test_margin_matches_dynamic_stability(self, flow):
-        model = flutter_wing()
-        lat = wing_lattice()
+    # (wing, flow, id): the 48-free-dof flutter wing, then wing_default at both levels
+    WINGS = [("flutter_wing", f, f) for f in sorted(FLOWS)] + [
+        (f"wing_default-{level}", f, f"wing_default-{level}-{f}")
+        for f in sorted(FLOWS) for level in ("LF", "HF")
+    ]
+
+    @pytest.mark.parametrize("wing, flow", [w[:2] for w in WINGS], ids=[w[2] for w in WINGS])
+    def test_margin_matches_dynamic_stability(self, wing, flow):
+        if wing == "flutter_wing":
+            model, lat = flutter_wing(), wing_lattice()
+        else:
+            cfg, analyses = shipped("wing_default.json")
+            built = analyses[wing[-2:]].build_model(seeded_design(cfg, 1))
+            model, lat = built.beam, built.lattice
         flow_of_v = self.FLOWS[flow]
         margin = _stability_margin(model, lat, flow_of_v)
-        for v in (5.0, 30.0, 60.0, 90.0, 120.0):
+        for v in (5.0, 30.0, 60.0, 90.0, 120.0, 300.0):
             ops = aero_operators(lat, flow_of_v(v), model.nodes)
             ref = dynamic_stability(model, ops).max_real
             assert margin(v) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    def test_unit_flow_margin_is_dynamic_stability_bit_for_bit(self, name, level):
+        # one state-matrix assembly serves both, on the identity and the modal basis
+        cfg, analyses = shipped(name)
+        built = analyses[level].build_model(cfg.initial_design())
+
+        def flow_of_v(v):
+            return FlowConditions(V=v, rho=1.0)
+
+        unit_ops = aero_operators(built.lattice, flow_of_v(1.0), built.beam.nodes)
+        ref = dynamic_stability(built.beam, unit_ops, shapes=False).max_real
+        assert _stability_margin(built.beam, built.lattice, flow_of_v)(1.0) == ref
 
     @pytest.mark.parametrize("flow", ["mach0", "mach05"])
     def test_critical_speed_matches_reference_bisection(self, flow):

@@ -4,7 +4,9 @@ perfbench/layers.py names functions and methods of aerotail by attribute.
 A refactor that renames or removes one of them breaks `perfbench/run.py
 --trace 1` without failing any other test; these tests catch that.
 perfbench/run.py exits 1 when any operation, output check or final check of
-a workload raises, so a few operations of each workload run here too.
+a workload raises, so each workload runs here too, in run.py's loop: its
+set-ups, the warm-up, each operation followed by more set-ups, and the
+final checks.
 """
 
 import os
@@ -87,23 +89,25 @@ def test_install_traces_an_evaluate_and_restores_every_binding(perfbench):
             assert held is fn, f"{attr} not restored"
 
 
-# seeds and operations per seed of each workload
+# (seed, operations) of each workload's runs; wing-eval seed 2001 makes as
+# many operations as a 30 s benchmark run of it
 WORKLOAD_RUNS = {
-    "toy-mf-opt": ((1,), 1),
-    "wing-eval": ((1, 2, 3, 4, 5, 6, 7, 8), 4),
-    "wing-flutter": ((1, 2, 3), 1),
+    "toy-mf-opt": ((1, 1),),
+    "wing-eval": tuple((seed, 4) for seed in range(1, 9)) + ((2001, 30),),
+    "wing-flutter": ((1, 1), (2, 1), (3, 1)),
 }
 
 
 @pytest.mark.parametrize("name", list(WORKLOAD_RUNS))
 def test_workload_operations_pass_their_checks(perfbench, tmp_path, name):
+    """The loop of perfbench/run.py, with its set-ups after every operation."""
     _, _, workloads = perfbench
-    seeds, n_ops = WORKLOAD_RUNS[name]
-    for seed in seeds:
+    for seed, n_ops in WORKLOAD_RUNS[name]:
         w = workloads.Workload(name, os.path.join(PERFBENCH, os.pardir), seed, str(tmp_path))
-        w.setup(1)
+        w.setup(workloads.SETUP_REPEATS)
         w.warm_up()
         for op in range(n_ops):
             w.run_op(op)
             w.check_op()
+            w.setup(workloads.SETUP_REPEATS_PER_OP)
         w.final_checks()
