@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .compare import compare_aeroelastic, compare_modal, compare_static, mac
 from .config import RunConfig, load_config
 from .constraints import LoadCase, WingAnalysis
-from .fidelity import FidelityConfig, WingDefinition, make_hf, make_lf
+from .fidelity import FidelityConfig, WingDefinition
 from .laminate import (
     LaminationParameters,
     MaterialProperties,
@@ -39,8 +39,6 @@ __all__ = [
     "WingAnalysis",
     "FidelityConfig",
     "WingDefinition",
-    "make_lf",
-    "make_hf",
     "trmm_optimize",
     "RunConfig",
     "load_config",

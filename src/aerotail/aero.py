@@ -76,9 +76,7 @@ class Lattice:
     cpts: np.ndarray  # control points, (n, 3)
     load_pts: np.ndarray  # bound-leg midpoints where lift acts, (n, 3)
     dy: np.ndarray  # spanwise widths
-    areas: np.ndarray
-    nx: int
-    ny: int
+    nx: int  # chordwise rows per spanwise strip
 
     @property
     def n_panels(self) -> int:
@@ -90,7 +88,7 @@ def build_lattice(planform: Planform, nx: int, ny: int) -> Lattice:
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
     y_edges = np.linspace(0.0, planform.semi_span, ny + 1)
-    a_pts, b_pts, cpts, load_pts, dy, areas = [], [], [], [], [], []
+    a_pts, b_pts, cpts, load_pts, dy = [], [], [], [], []
     for j in range(ny):
         y0, y1 = y_edges[j], y_edges[j + 1]
         ym = 0.5 * (y0 + y1)
@@ -103,16 +101,13 @@ def build_lattice(planform: Planform, nx: int, ny: int) -> Lattice:
             cpts.append([fc * cm, ym, 0.0])
             load_pts.append([fa * cm, ym, 0.0])
             dy.append(y1 - y0)
-            areas.append((y1 - y0) * cm / nx)
     return Lattice(
         a_pts=np.array(a_pts),
         b_pts=np.array(b_pts),
         cpts=np.array(cpts),
         load_pts=np.array(load_pts),
         dy=np.array(dy),
-        areas=np.array(areas),
         nx=nx,
-        ny=ny,
     )
 
 

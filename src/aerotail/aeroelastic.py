@@ -74,6 +74,17 @@ def _modal(model: BeamModel) -> bool:
     return model.free.size > N_MODES
 
 
+def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray, corner: float) -> np.ndarray:
+    """[[a, col], [row, corner]]: square a bordered by one column, one row and a corner."""
+    n = a.shape[0]
+    out = np.empty((n + 1, n + 1))
+    out[:n, :n] = a
+    out[:n, n] = col
+    out[n, :n] = row
+    out[n, n] = corner
+    return out
+
+
 def _low_rank_solve(
     model: BeamModel,
     k_wash: np.ndarray,
@@ -100,12 +111,8 @@ def _low_rank_solve(
     c, l, d, t = border
     y = model.kff_solve(np.column_stack([b, c, k_wash[free]]))
     wy, ly = w @ y, l @ y
-    cap = np.empty((m + 1, m + 1))
-    cap[:m, :m] = np.eye(m) - wy[:, 2:]
-    cap[:m, m] = -wy[:, 1]
-    cap[m, :m] = ly[2:]
-    cap[m, m] = ly[1] + d
-    sol = scipy.linalg.solve(cap, np.r_[wy[:, 0], t - ly[0]])
+    cap = _bordered(np.eye(m) - wy[:, 2:], -wy[:, 1], ly[2:], ly[1] + d)
+    sol = scipy.linalg.solve(cap, np.append(wy[:, 0], t - ly[0]))
     return y[:, 0] + y[:, 2:] @ sol[:m] + y[:, 1] * sol[m], sol[m]
 
 
@@ -128,7 +135,7 @@ def _solve_free(
     if border is None:
         return scipy.linalg.solve(a, b), 0.0
     c, l, d, t = border
-    sol = scipy.linalg.solve(np.block([[a, -c[:, None]], [l, d]]), np.r_[b, t])
+    sol = scipy.linalg.solve(_bordered(a, -c, l, d), np.append(b, t))
     return sol[:-1], sol[-1]
 
 

@@ -108,8 +108,8 @@ def _analyze(args, cfg, out) -> None:
     elif args.case == "flutter":
         rows = []
         eigs_per_case = {}
-        for i_lc in range(len(cfg.loadcases)):
-            _, ops, _ = analysis.operators(i_lc)
+        for i_lc, lc in enumerate(cfg.loadcases):
+            ops = model.structure.aero(lc.flow)
             res = dynamic_stability(beam, ops, n_keep=args.modes, shapes=False)
             name = _case_name(cfg, i_lc)
             eigs_per_case[name] = res.eigenvalues
@@ -246,7 +246,7 @@ def main(argv=None) -> int:
         print(
             f"config OK: {cfg.definition.n_panels} panels, "
             f"{len(cfg.loadcases)} load cases, "
-            f"{cfg.definition.n_variables} design variables"
+            f"{cfg.initial_design().size} design variables"
         )
         return EXIT_OK
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aero import FlowConditions, aero_operators
+from .aero import FlowConditions
 from .aeroelastic import N_MODES, dynamic_stability
 from .fidelity import WingModel
 
@@ -198,10 +198,8 @@ def compare_aeroelastic(
     flow: FlowConditions,
 ) -> ComparisonReport:
     """Leading stability eigenvalues (N_STABILITY) and complex MAC at one flow point."""
-    ops_lf = aero_operators(lf.lattice, flow, lf.beam.nodes)
-    ops_hf = aero_operators(hf.lattice, flow, hf.beam.nodes)
-    res_lf = dynamic_stability(lf.beam, ops_lf)
-    res_hf = dynamic_stability(hf.beam, ops_hf)
+    res_lf = dynamic_stability(lf.beam, lf.structure.aero(flow))
+    res_hf = dynamic_stability(hf.beam, hf.structure.aero(flow))
     i_lf, i_hf = shared_node_dofs(lf, hf)
     k = min(res_lf.eigenvalues.size, res_hf.eigenvalues.size)
     m = mac_matrix(res_lf.shapes[i_lf, :k], res_hf.shapes[i_hf, :k])

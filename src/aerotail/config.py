@@ -18,7 +18,7 @@ import numpy as np
 from .aero import Planform
 from .aeroelastic import AileronDef
 from .constraints import LoadCase, WingAnalysis, pack_design
-from .fidelity import FidelityConfig, WingDefinition, make_hf, make_lf
+from .fidelity import FidelityConfig, WingDefinition
 from .laminate import (
     LaminationParameters,
     MaterialProperties,
@@ -71,9 +71,8 @@ class RunConfig:
         return pack_design(self.panels)
 
     def analyses(self) -> tuple[WingAnalysis, WingAnalysis]:
-        lf = make_lf(self.definition, self.loadcases, self.lf_fidelity)
-        hf = make_hf(self.definition, self.loadcases, self.hf_fidelity)
-        return lf, hf
+        return (WingAnalysis(self.definition, self.loadcases, self.lf_fidelity, level="LF"),
+                WingAnalysis(self.definition, self.loadcases, self.hf_fidelity, level="HF"))
 
 
 def _panel(entry: dict) -> PanelDesign:

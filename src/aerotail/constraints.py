@@ -36,15 +36,14 @@ non-smoothness flags so the optimizer can react.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .aero import FlowConditions, aero_operators
+from .aero import FlowConditions
 from .aeroelastic import (
     N_STABILITY,
     StaticAeroelasticResult,
-    aileron_operators,
     aileron_solve,
     dynamic_stability,
     static_aeroelastic,
@@ -194,13 +193,16 @@ class ConstraintLayout:
 
 @dataclass
 class ModelOutputs:
-    """One model evaluation: objective, constraints, availability, flags."""
+    """One model evaluation: objective, constraints, availability, flags.
+
+    failed marks a stand-in for an evaluation whose physics raised.
+    """
 
     f: float
     c: np.ndarray
     mask: np.ndarray
     nonsmooth: np.ndarray
-    details: dict = field(default_factory=dict)
+    failed: bool = False
 
 
 @dataclass
@@ -215,16 +217,10 @@ class WingAnalysis:
     """Objective and constraint stack of one wing at one fidelity level.
 
     The layout and the level's read-only row mask are built with the
-    analysis; every evaluation returns that one mask.  The aero operators
-    of every load case (lattice, AIC, coupling maps and, where the aileron
-    is constrained, the antisymmetric aileron operators) are built once, on
-    the first evaluation, and reused for every design.
-    This holds because the beam nodes and the lattice depend only on the
-    definition and the fidelity config, never on the design vector; a
-    change that lets nodes or lattice follow the design must drop this
-    cache as well.  The design-independent structure of the level
-    (`fidelity.WingStructure`) is likewise built on the first model build
-    and kept with the definition.
+    analysis; every evaluation returns that one mask.  The design-independent
+    structure of the level (`fidelity.WingStructure`) is built on the first
+    model build and kept with the definition; it also holds the aero and
+    aileron operators of every load case's flow, so every design reuses them.
     """
 
     def __init__(
@@ -245,7 +241,6 @@ class WingAnalysis:
         self.layout = ConstraintLayout.build(definition, len(self.loadcases))
         self._mask = self.layout.mask_for(level)
         self._mask.flags.writeable = False
-        self._aero: list | None = None
         if self._have("ae") and definition.aileron is None:
             raise ValueError(
                 "aileron effectiveness is constrained but the wing has no aileron"
@@ -256,7 +251,7 @@ class WingAnalysis:
 
     @property
     def n_variables(self) -> int:
-        return self.definition.n_variables
+        return VARS_PER_PANEL * self.definition.n_panels
 
     @property
     def n_constraints(self) -> int:
@@ -273,24 +268,6 @@ class WingAnalysis:
         panels = unpack_design(x, self.definition.n_panels)
         return build_wing_model(self.definition, panels, self.fidelity)
 
-    def operators(self, i_lc: int):
-        """(flow, aero operators, aileron operators or None) of load case i_lc."""
-        if self._aero is None:
-            defn = self.definition
-            structure = wing_structure(defn, self.fidelity)
-            nodes, lattice = structure.nodes, structure.lattice
-            built = []
-            for lc in self.loadcases:
-                flow = lc.flow
-                ail = (
-                    aileron_operators(lattice, nodes, flow, defn.aileron)
-                    if self._have("ae")
-                    else None
-                )
-                built.append((flow, aero_operators(lattice, flow, nodes), ail))
-            self._aero = built
-        return self._aero[i_lc]
-
     def trim(self, model: WingModel, i_lc: int) -> tuple[StaticAeroelasticResult, np.ndarray]:
         """Flight state of load case i_lc and the total nodal load it carries.
 
@@ -300,7 +277,8 @@ class WingAnalysis:
         """
         lc = self.loadcases[i_lc]
         beam = model.beam
-        flow, ops, _ = self.operators(i_lc)
+        flow = lc.flow
+        ops = model.structure.aero(flow)
         factor = lc.load_factor if lc.load_factor is not None else 1.0
         fe = beam.gravity_load(GRAVITY * factor)
         target = None
@@ -320,24 +298,20 @@ class WingAnalysis:
         mask = self._mask
         c = np.full(lay.size, np.nan)
         nonsmooth = np.zeros(lay.size, dtype=bool)
-        details: dict = {}
 
         sl = lay.rows(-1, "feas")
         c[sl] = np.concatenate([feasibility_residuals(p.lp) for p in panels])
 
         for i_lc, lc in enumerate(self.loadcases):
-            self._loadcase(model, i_lc, lc, c, nonsmooth, details)
+            self._loadcase(model, i_lc, lc, c, nonsmooth)
 
         c[~mask] = np.nan
-        return ModelOutputs(
-            f=model.mass_with_fixed(), c=c, mask=mask, nonsmooth=nonsmooth, details=details
-        )
+        return ModelOutputs(f=model.mass_with_fixed(), c=c, mask=mask, nonsmooth=nonsmooth)
 
-    def _loadcase(self, model: WingModel, i_lc, lc, c, nonsmooth, details):
+    def _loadcase(self, model: WingModel, i_lc, lc, c, nonsmooth):
         defn = self.definition
         lay = self.layout
         beam = model.beam
-        _, ops, ail_ops = self.operators(i_lc)
         res, _ = self.trim(model, i_lc)
 
         if self._have("tw"):
@@ -351,13 +325,14 @@ class WingAnalysis:
             )
 
         if self._have("ds"):
-            stab = dynamic_stability(beam, ops, shapes=False)
+            stab = dynamic_stability(beam, model.structure.aero(lc.flow), shapes=False)
             sl = lay.rows(i_lc, "ds")
             c[sl] = pad_critical(np.real(stab.eigenvalues), N_STABILITY)
             if stab.degenerate:
                 nonsmooth[sl] = True
 
         if self._have("ae"):
+            ail_ops = model.structure.aileron(lc.flow)
             c[lay.rows(i_lc, "ae")] = lc.eta_min - aileron_solve(beam, ail_ops).eta
 
         if self._have("AoA"):
@@ -368,14 +343,6 @@ class WingAnalysis:
             pair = np.column_stack([lc.alpha_min - a_loc, a_loc - lc.alpha_max])
             c[sl] = pair.ravel()
 
-        n_tip = beam.n_nodes - 1
-        details[i_lc] = {
-            "alpha": res.alpha,
-            "total_lift": res.total_lift,
-            "tip_deflection": float(res.u[6 * n_tip + 2]),
-            "tip_twist": float(res.u[6 * n_tip + 4]),
-        }
-
     # -- derivatives --------------------------------------------------------
 
     def mass_gradient(self, x) -> np.ndarray:
@@ -385,7 +352,7 @@ class WingAnalysis:
         it is read from the level's wall-area table without building a model.
         """
         unpack_design(x, self.definition.n_panels)  # same checks as a model build
-        g = np.zeros(self.definition.n_variables)
+        g = np.zeros(self.n_variables)
         structure = wing_structure(self.definition, self.fidelity)
         g[VARS_PER_PANEL - 1 :: VARS_PER_PANEL] = structure.thickness_gradient
         return g

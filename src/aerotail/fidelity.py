@@ -17,7 +17,8 @@ axis, the chordwise center of the box.
 
 Built once per definition and level (`WingStructure`): bay box geometry,
 the bay -> panel map, the knockdown, nodes, element geometry and assembly
-indices, wall areas and the vortex lattice.  Built per design
+indices, wall areas and the vortex lattice, then on first use the aero and
+aileron operators of every flow the analyses meet.  Built per design
 (`build_wing_model`): one condensed membrane per design panel, then every
 bay's C and M, the element matrices and the assembled K and M as batched
 array expressions.
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aero import Lattice, Planform, build_lattice
-from .aeroelastic import AileronDef
+from .aero import AeroOperators, FlowConditions, Lattice, Planform, aero_operators, build_lattice
+from .aeroelastic import AileronDef, AileronOperators, aileron_operators
 from .beam import BeamModel, ElementGeometry, ElementSet, PointMass
 from .laminate import MaterialProperties, PanelDesign
 from .section import (
@@ -96,10 +97,6 @@ class WingDefinition:
     def n_panels(self) -> int:
         return 1 + max(int(i) for wm in self.wall_panels for i in wm.values())
 
-    @property
-    def n_variables(self) -> int:
-        return 9 * self.n_panels
-
     def bay_zone(self, bay: int) -> int:
         frac = (bay + 0.5) / self.n_bays
         zb = np.asarray(self.zone_bounds)
@@ -137,6 +134,10 @@ class WingStructure:
     masses, the wall-area table behind the mass thickness gradient, the
     Tsai-Wu stations of every panel, and the vortex lattice.  Built once per
     definition and level by `wing_structure`; `build` adds a design.
+
+    No design changes the nodes or the lattice, so the aero operators built
+    from them at one flow serve every design: `aero` and `aileron` build
+    them on first use and keep them by flow.
     """
 
     def __init__(self, defn: WingDefinition, fid: FidelityConfig):
@@ -181,6 +182,24 @@ class WingStructure:
         for a in (self.bay_panel, self.knockdown, self.element_bay, self.bay_axis_length,
                   self.thickness_gradient):
             a.flags.writeable = False
+        self._aero: dict[FlowConditions, AeroOperators] = {}
+        self._aileron: dict[FlowConditions, AileronOperators] = {}
+
+    def aero(self, flow: FlowConditions) -> AeroOperators:
+        """Aero operators of the lattice on the beam nodes at flow."""
+        ops = self._aero.get(flow)
+        if ops is None:
+            ops = self._aero[flow] = aero_operators(self.lattice, flow, self.nodes)
+        return ops
+
+    def aileron(self, flow: FlowConditions) -> AileronOperators:
+        """Antisymmetric operators of the definition's aileron at flow."""
+        ops = self._aileron.get(flow)
+        if ops is None:
+            ops = self._aileron[flow] = aileron_operators(
+                self.lattice, self.nodes, flow, self.definition.aileron
+            )
+        return ops
 
     def build(self, panels: list[PanelDesign]) -> "WingModel":
         """Sections of every bay and the assembled beam for one design."""
@@ -212,10 +231,6 @@ class WingModel:
     @property
     def definition(self) -> WingDefinition:
         return self.structure.definition
-
-    @property
-    def fidelity(self) -> FidelityConfig:
-        return self.structure.fidelity
 
     @property
     def element_bay(self) -> np.ndarray:
@@ -280,16 +295,3 @@ def build_wing_model(
         raise ValueError(f"expected {defn.n_panels} panel designs, got {len(panels)}")
     return wing_structure(defn, fid).build(panels)
 
-
-def make_lf(defn: WingDefinition, loadcases, cfg: FidelityConfig):
-    """Low-fidelity analysis handle: coarse mesh, full constraint set."""
-    from .constraints import WingAnalysis
-
-    return WingAnalysis(defn, loadcases, cfg, level="LF")
-
-
-def make_hf(defn: WingDefinition, loadcases, cfg: FidelityConfig):
-    """High-fidelity analysis handle: refined mesh plus knockdown physics."""
-    from .constraints import WingAnalysis
-
-    return WingAnalysis(defn, loadcases, cfg, level="HF")

@@ -225,7 +225,7 @@ def _poisoned_outputs(t: ModelOutputs) -> ModelOutputs:
         c=np.full_like(t.c, POISON_C),
         mask=t.mask,
         nonsmooth=np.zeros_like(t.nonsmooth),
-        details={"failed": True},
+        failed=True,
     )
 
 
@@ -244,7 +244,7 @@ class _Cached:
     legitimately fail on them (indefinite section stiffness outside the
     lamination feasible set).  After the first successful call such failures
     come back as poisoned outputs, a huge objective with every constraint
-    violated and details["failed"] set, so the line search backs away instead
+    violated and failed set, so the line search backs away instead
     of crashing the solver.
     """
 
@@ -509,7 +509,7 @@ def trmm_optimize(
             break
 
         lf_cand = lf_cached.evaluate(cand)
-        hf_cand = None if lf_cand.details.get("failed") else _attempt(hf_count.evaluate, cand)
+        hf_cand = None if lf_cand.failed else _attempt(hf_count.evaluate, cand)
         if hf_cand is None:
             # the physics failed at the candidate on either level: reject it
             delta = SHRINK * delta

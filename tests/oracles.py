@@ -170,6 +170,16 @@ def coupling_maps_per_panel(
     return t_load, t_wash, t_vel
 
 
+def panel_areas(lattice: Lattice) -> np.ndarray:
+    """Planform area of every lattice panel: span width times chordwise length.
+
+    A panel's load point sits at its quarter chord and its control point at
+    its three-quarter chord, on the strip's mid-span chord line, so the two
+    lie half the panel's chordwise length apart.
+    """
+    return lattice.dy * 2.0 * (lattice.cpts[:, 0] - lattice.load_pts[:, 0])
+
+
 @dataclass
 class SteadyResult:
     gamma: np.ndarray
@@ -195,7 +205,7 @@ def steady_solve(
     total = float(lift.sum())
     q = 0.5 * flow.rho * flow.V**2
     return SteadyResult(gamma=gamma, panel_lift=lift, total_lift=total,
-                        cl=total / (q * lattice.areas.sum()))
+                        cl=total / (q * panel_areas(lattice).sum()))
 
 
 def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:

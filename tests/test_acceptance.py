@@ -26,13 +26,11 @@ from aerotail.aeroelastic import (
 )
 from aerotail.beam import BeamModel, ElementGeometry, ElementSet
 from aerotail.compare import compare_aeroelastic, compare_modal, compare_static
-from aerotail.constraints import LoadCase, pack_design
+from aerotail.constraints import LoadCase, WingAnalysis, pack_design
 from aerotail.fidelity import (
     FidelityConfig,
     WingDefinition,
     build_wing_model,
-    make_hf,
-    make_lf,
 )
 from aerotail.laminate import (
     LaminationParameters,
@@ -55,6 +53,7 @@ from oracles import (
     constraint_length,
     divergence_factor,
     max_violation,
+    panel_areas,
     prescribed_section,
     quadratic_benchmark_pair,
     steady_solve,
@@ -275,7 +274,7 @@ def test_divergence_and_flutter_match_independent_oracles():
     lift_slope = ops.f_alpha[2::6].sum()  # dL/dalpha at this q
     mom_slope = ops.f_alpha[4::6].sum()  # dM/dalpha about the axis (nodes on it)
     q = 0.5 * flow.rho * flow.V**2
-    area = lat.areas.sum()
+    area = panel_areas(lat).sum()
     cl_alpha = lift_slope / (q * area)
     offset = mom_slope / lift_slope  # e times c
     q_formula = k_alpha / (offset * area * cl_alpha)
@@ -331,7 +330,7 @@ def test_constraint_gradients_match_central_differences():
     lc = LoadCase(
         V=70.0, rho=1.225, load_factor=2.5, alpha_min=-0.3, alpha_max=0.6, eta_min=0.05
     )
-    lf = make_lf(defn, [lc], FidelityConfig(mesh_factor=1, lattice_nx=2, lattice_ny=6))
+    lf = WingAnalysis(defn, [lc], FidelityConfig(mesh_factor=1, lattice_nx=2, lattice_ny=6))
     lay = lf.layout
     # feasibility rows and the mass gradient are exact; eigenvalue-backed
     # rows get the loose band; the remaining rows are smooth solves and are
@@ -423,11 +422,12 @@ def test_multifidelity_matches_baseline_with_half_the_evaluations():
     lc = LoadCase(
         V=90.0, rho=1.225, load_factor=2.5, alpha_min=-0.3, alpha_max=0.6, eta_min=0.05
     )
-    lf = make_lf(defn, [lc], FidelityConfig(mesh_factor=1, lattice_nx=2, lattice_ny=6))
-    hf = make_hf(
+    lf = WingAnalysis(defn, [lc], FidelityConfig(mesh_factor=1, lattice_nx=2, lattice_ny=6))
+    hf = WingAnalysis(
         defn,
         [lc],
         FidelityConfig(mesh_factor=2, lattice_nx=2, lattice_ny=12, torsion_knockdown=0.8),
+        level="HF",
     )
     # ply angles below are radians; they wrap onto a mixed laminate whose
     # design point is interior-feasible at both levels
@@ -541,16 +541,16 @@ def test_constraint_layout_length_and_bit_determinism():
         (defn_b, [lc, lc2], x_b),
         (defn_c, [lc, lc2, lc3], x_c),
     ):
-        ana = make_lf(defn, lcs, cfg)
+        ana = WingAnalysis(defn, lcs, cfg)
         n = constraint_length(len(lcs), defn.n_panels, len(defn.aoa_stations))
         assert ana.layout.size == n
         assert ana.evaluate(x).c.size == n
 
     # identical bits from repeated evaluation, same object or a fresh one
-    ana = make_lf(defn_a, [lc], cfg)
+    ana = WingAnalysis(defn_a, [lc], cfg)
     first = ana.evaluate(x_a)
     again = ana.evaluate(x_a)
-    fresh = make_lf(defn_a, [lc], cfg).evaluate(x_a)
+    fresh = WingAnalysis(defn_a, [lc], cfg).evaluate(x_a)
     for other in (again, fresh):
         assert other.f == first.f
         assert other.c.tobytes() == first.c.tobytes()

@@ -19,7 +19,7 @@ from aerotail.aero import (
 
 from aerotail.config import load_config
 
-from oracles import aic_matrix_per_panel, coupling_maps_per_panel, steady_solve
+from oracles import aic_matrix_per_panel, coupling_maps_per_panel, panel_areas, steady_solve
 
 
 class TestKernels:
@@ -197,8 +197,8 @@ class TestValidation:
         p = Planform(10.0, 2.0, 1.0)  # trapezoid of area 0.5 (2 + 1) 10 = 15
         assert p.chord(5.0) == pytest.approx(1.5)
         lat = build_lattice(p, nx=2, ny=3)
-        assert (lat.nx, lat.ny, lat.n_panels) == (2, 3, 6)
-        assert lat.areas.sum() == pytest.approx(15.0)
+        assert (lat.nx, np.unique(lat.cpts[:, 1]).size, lat.n_panels) == (2, 3, 6)
+        assert panel_areas(lat).sum() == pytest.approx(15.0)
         assert aic_matrix(lat).shape == (6, 6)
 
     def test_bad_inputs(self):

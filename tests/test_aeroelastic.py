@@ -314,11 +314,12 @@ class TestModalReduction:
         cfg, analyses = shipped("wing_default.json")
         analysis = analyses[level]
         for x in (cfg.initial_design(), seeded_design(cfg, 1), seeded_design(cfg, 2)):
-            beam = analysis.build_model(x).beam
+            model = analysis.build_model(x)
+            beam = model.beam
             n = beam.free.size
             assert n > N_MODES
-            for i_lc in range(len(analysis.loadcases)):
-                _, ops, _ = analysis.operators(i_lc)
+            for lc in analysis.loadcases:
+                ops = model.structure.aero(lc.flow)
                 res = dynamic_stability(beam, ops)
                 lam, vec = scipy.linalg.eig(full_order_state_matrix(beam, ops.K_a, ops.D_a))
                 keep = leading(lam)
@@ -335,9 +336,10 @@ class TestModalReduction:
     def test_eigenvalues_only_solve_matches_solve_with_shapes(self, name, level):
         cfg, analyses = shipped(name)
         analysis = analyses[level]
-        beam = analysis.build_model(seeded_design(cfg, 3)).beam
-        for i_lc in range(len(analysis.loadcases)):
-            _, ops, _ = analysis.operators(i_lc)
+        model = analysis.build_model(seeded_design(cfg, 3))
+        beam = model.beam
+        for lc in analysis.loadcases:
+            ops = model.structure.aero(lc.flow)
             fast = dynamic_stability(beam, ops, shapes=False)
             ref = dynamic_stability(beam, ops)
             assert fast.shapes is None
@@ -349,11 +351,12 @@ class TestModalReduction:
     def test_small_models_are_solved_at_full_order(self, level):
         cfg, analyses = shipped("toy_two_panel.json")
         analysis = analyses[level]
-        beam = analysis.build_model(cfg.initial_design()).beam
+        model = analysis.build_model(cfg.initial_design())
+        beam = model.beam
         n = beam.free.size
         assert n <= N_MODES
-        for i_lc in range(len(analysis.loadcases)):
-            _, ops, _ = analysis.operators(i_lc)
+        for lc in analysis.loadcases:
+            ops = model.structure.aero(lc.flow)
             res = dynamic_stability(beam, ops)
             lam, vec = scipy.linalg.eig(full_order_state_matrix(beam, ops.K_a, ops.D_a))
             keep = leading(lam)
@@ -447,10 +450,14 @@ def reference_stability(beam, ops):
 
 def structured_and_reference(analysis, x):
     """Per load case: trim, aileron eta and stability, each from the code and its reference."""
-    beam = analysis.build_model(x).beam
+    model = analysis.build_model(x)
+    beam, structure = model.beam, model.structure
     out = []
-    for i_lc, lc in enumerate(analysis.loadcases):
-        flow, ops, ail = analysis.operators(i_lc)
+    for lc in analysis.loadcases:
+        flow = lc.flow
+        ops = structure.aero(flow)
+        # only LF constrains the aileron
+        ail = structure.aileron(flow) if analysis.level == "LF" else None
         fe = beam.gravity_load(GRAVITY * lc.load_factor)
         supported = analysis.definition.supported_mass
         target = lc.load_factor * GRAVITY * (supported + beam.total_mass())
@@ -537,8 +544,9 @@ class TestResidualChecks:
     def test_missed_aileron_equilibrium_raises(self, monkeypatch, name):
         cfg, analyses = shipped(name)
         analysis = analyses["LF"]
-        beam = analysis.build_model(cfg.initial_design()).beam
-        _, _, ail = analysis.operators(0)
+        model = analysis.build_model(cfg.initial_design())
+        beam = model.beam
+        ail = model.structure.aileron(analysis.loadcases[0].flow)
         aileron_solve(beam, ail)
         monkeypatch.setattr(aeroelastic, "_TRIM_TOL", 0.0)
         with pytest.raises(RuntimeError, match="equilibrium"):

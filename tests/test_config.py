@@ -47,7 +47,7 @@ class TestShippedConfigs:
     def test_default_wing_loads(self):
         cfg = load_config(DEFAULT)
         assert cfg.definition.n_panels == 16
-        assert cfg.definition.n_variables == 144
+        assert cfg.initial_design().size == 144
         assert len(cfg.loadcases) == 2
         assert cfg.hf_fidelity.mesh_factor == 2 * cfg.lf_fidelity.mesh_factor
 

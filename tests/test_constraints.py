@@ -22,7 +22,7 @@ from aerotail.constraints import (
     pad_critical,
     unpack_design,
 )
-from aerotail.fidelity import FidelityConfig, WingDefinition, make_hf, make_lf
+from aerotail.fidelity import FidelityConfig, WingDefinition
 from aerotail.laminate import (
     PanelDesign,
     feasibility_gradient,
@@ -41,10 +41,7 @@ LF_CFG = FidelityConfig(mesh_factor=1, lattice_nx=2, lattice_ny=6)
 
 
 def toy_analysis(level="LF", loadcases=(LC,), cfg=LF_CFG):
-    defn = small_definition()
-    if level == "LF":
-        return make_lf(defn, list(loadcases), cfg)
-    return make_hf(defn, list(loadcases), cfg)
+    return WingAnalysis(small_definition(), list(loadcases), cfg, level=level)
 
 
 def toy_x():
@@ -156,10 +153,10 @@ class TestEvaluate:
 
     def test_trim_hits_lift_target(self):
         ana = toy_analysis("LF")
-        out = ana.evaluate(toy_x())
         model = ana.build_model(toy_x())
         target = 2.5 * 9.80665 * (150.0 + model.beam.total_mass())
-        assert np.isclose(out.details[0]["total_lift"], target, rtol=1e-8)
+        res, _ = ana.trim(model, 0)
+        assert np.isclose(res.total_lift, target, rtol=1e-8)
 
     def test_feasibility_rows_match_direct_evaluation(self):
         ana = toy_analysis("LF")
@@ -189,8 +186,8 @@ class TestEvaluate:
                       alpha_min=-0.05, alpha_max=0.15)
         ana = toy_analysis("LF", loadcases=(lc,))
         out = ana.evaluate(toy_x())
-        assert out.details[0]["alpha"] == 0.02
         model = ana.build_model(toy_x())
+        assert ana.trim(model, 0)[0].alpha == 0.02
         sl = ana.layout.rows(0, "AoA")
         pairs = out.c[sl].reshape(-1, 2)
         # lower + upper residuals sum to -(alpha_max - alpha_min) per station
@@ -206,7 +203,8 @@ class TestEvaluate:
         tw0 = out.c[lay.rows(0, "tw")]
         tw1 = out.c[lay.rows(1, "tw")]
         assert tw1.max() > tw0.max()
-        assert out.details[1]["alpha"] > out.details[0]["alpha"]
+        model = ana.build_model(toy_x())
+        assert ana.trim(model, 1)[0].alpha > ana.trim(model, 0)[0].alpha
 
     def test_two_load_cases_double_per_case_blocks(self):
         ana1 = toy_analysis("LF", loadcases=(LC,))
@@ -233,8 +231,9 @@ class TestEvaluate:
             aileron=None,
         )
         with pytest.raises(ValueError, match="aileron"):
-            make_lf(no_ail, [LC], LF_CFG)
-        make_hf(no_ail, [LC], FidelityConfig(mesh_factor=2))  # ae not evaluated at HF
+            WingAnalysis(no_ail, [LC], LF_CFG, level="LF")
+        # ae not evaluated at HF
+        WingAnalysis(no_ail, [LC], FidelityConfig(mesh_factor=2), level="HF")
 
     def test_loadcase_validation(self):
         with pytest.raises(ValueError, match="positive V"):
@@ -396,10 +395,9 @@ class TestStabilityRows:
         ana = analyses[level]
         for x in (cfg.initial_design(), seeded_design(cfg, 1), seeded_design(cfg, 2)):
             out = ana.evaluate(x)
-            beam = ana.build_model(x).beam
-            for i_lc in range(len(ana.loadcases)):
-                _, ops, _ = ana.operators(i_lc)
-                stab = dynamic_stability(beam, ops, shapes=True)
+            model = ana.build_model(x)
+            for i_lc, lc in enumerate(ana.loadcases):
+                stab = dynamic_stability(model.beam, model.structure.aero(lc.flow), shapes=True)
                 sl = ana.layout.rows(i_lc, "ds")
                 expect = pad_critical(np.real(stab.eigenvalues), N_STABILITY)
                 assert np.array_equal(out.c[sl], expect)

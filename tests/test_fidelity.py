@@ -6,17 +6,24 @@ import numpy as np
 import pytest
 
 import aerotail
-from aerotail.aero import Planform
+from aerotail.aero import Planform, aero_operators
 from aerotail.aeroelastic import AileronDef
 from aerotail.beam import PointMass, element_frame
+from aerotail.compare import compare_aeroelastic
 from aerotail.config import load_config
-from aerotail.constraints import N_TSAI_WU, LoadCase, pack_design, pad_critical, unpack_design
+from aerotail.constraints import (
+    N_TSAI_WU,
+    LoadCase,
+    WingAnalysis,
+    pack_design,
+    pad_critical,
+    unpack_design,
+)
 from aerotail.fidelity import (
     FidelityConfig,
     WingDefinition,
     beam_nodes,
     build_wing_model,
-    make_lf,
 )
 from aerotail.laminate import (
     MaterialProperties,
@@ -305,13 +312,38 @@ class TestMatchedPhysics:
 
     def test_designs_at_one_level_share_the_lattice(self):
         cfg = FidelityConfig(mesh_factor=2, lattice_ny=8)
-        analysis = make_lf(small_definition(), [LoadCase(V=40.0, rho=1.225)], cfg)
+        lc = LoadCase(V=40.0, rho=1.225)
+        analysis = WingAnalysis(small_definition(), [lc], cfg, level="LF")
         thicker = [PanelDesign(p.lp, 1.2 * p.thickness) for p in small_panels()]
         a = analysis.build_model(pack_design(small_panels()))
         b = analysis.build_model(pack_design(thicker))
         assert a.lattice is b.lattice
-        _, _, aileron = analysis.operators(0)
-        assert aileron.lattice is a.lattice
+        assert a.structure.aileron(lc.flow).lattice is a.structure.lattice
+        # lc.flow is a new FlowConditions on every read: the operators are kept by value
+        assert a.structure.aero(lc.flow) is b.structure.aero(lc.flow)
+        assert a.structure.aero(LoadCase(V=41.0, rho=1.225).flow) is not a.structure.aero(lc.flow)
+
+    def test_compare_aeroelastic_after_evaluate_builds_no_aero_operators(self, monkeypatch):
+        cfg = load_config(os.path.join(DATA, "toy_two_panel.json"))
+        x = cfg.initial_design()
+        lf, hf = cfg.analyses()
+        lf.evaluate(x)
+        hf.evaluate(x)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return aero_operators(*args, **kwargs)
+
+        # every module of the package that binds the name
+        for module in vars(aerotail).values():
+            if getattr(module, "aero_operators", None) is aero_operators:
+                monkeypatch.setattr(module, "aero_operators", counted)
+        m_lf = lf.build_model(x)
+        compare_aeroelastic(m_lf, hf.build_model(x), cfg.loadcases[0].flow)
+        assert calls == []
+        m_lf.structure.aero(LoadCase(V=1.0, rho=1.0).flow)  # a new flow is counted
+        assert len(calls) == 1
 
 
 class TestValidation:
