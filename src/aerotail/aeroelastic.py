@@ -331,11 +331,6 @@ def dynamic_stability(
     return StabilityResult(eigenvalues=kept, shapes=modes, degenerate=degenerate, basis=basis)
 
 
-@dataclass
-class AileronResult:
-    eta: float  # flexible over rigid rolling moment per unit deflection
-
-
 @dataclass(frozen=True)
 class AileronDef:
     """Trailing-edge control surface: span band and rear chordwise rows."""
@@ -408,11 +403,12 @@ def aileron_operators(
     )
 
 
-def aileron_solve(model: BeamModel, ops: AileronOperators) -> AileronResult:
-    """Flexible response of the beam to unit aileron deflection.
+def aileron_solve(model: BeamModel, ops: AileronOperators) -> float:
+    """Aileron effectiveness eta: flexible over rigid rolling moment per unit deflection.
 
-    (K - k_a)_ff u = f_delta is solved by _solve_free, and its residual is
-    checked against _TRIM_TOL as the trim's is; a miss raises RuntimeError.
+    The flexible response (K - k_a)_ff u = f_delta is solved by _solve_free,
+    and its residual is checked against _TRIM_TOL as the trim's is; a miss
+    raises RuntimeError.
     """
     lattice, flow = ops.lattice, ops.flow
     free = model.free
@@ -424,7 +420,7 @@ def aileron_solve(model: BeamModel, ops: AileronOperators) -> AileronResult:
     gamma_f = np.linalg.solve(ops.w_anti, -flow.V * (ops.alpha_delta + ops.t_wash @ u))
     lift_f = flow.rho * flow.V * gamma_f * lattice.dy
     roll_f = float(np.sum(lattice.load_pts[:, 1] * lift_f))
-    return AileronResult(eta=roll_f / ops.roll_rigid)
+    return roll_f / ops.roll_rigid
 
 
 def aileron_effectiveness(
@@ -432,7 +428,7 @@ def aileron_effectiveness(
     lattice: Lattice,
     flow: FlowConditions,
     aileron: AileronDef,
-) -> AileronResult:
+) -> float:
     """Flexible-to-rigid ratio of rolling moment per unit aileron deflection."""
     return aileron_solve(model, aileron_operators(lattice, model.nodes, flow, aileron))
 

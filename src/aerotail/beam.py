@@ -233,11 +233,10 @@ class ElementSet:
 
 @dataclass(frozen=True)
 class PointMass:
-    """Rigid mass lumped at a node: translational mass plus rotary inertia."""
+    """Translational mass lumped at a node."""
 
     node: int
     mass: float
-    inertia: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -291,7 +290,6 @@ class BeamModel:
             for pm in self.point_masses:
                 base = 6 * pm.node
                 m[base : base + 3, base : base + 3] += pm.mass * np.eye(3)
-                m[base + 3 : base + 6, base + 3 : base + 6] += np.diag(pm.inertia)
             self._M = 0.5 * (m + m.T)
         return self._M
 

@@ -19,7 +19,13 @@ from dataclasses import fields
 import numpy as np
 
 from .aeroelastic import dynamic_stability
-from .compare import compare_aeroelastic, compare_modal, compare_static, tip_response
+from .compare import (
+    compare_aeroelastic,
+    compare_modal,
+    compare_static,
+    relative_error,
+    tip_response,
+)
 from .config import ConfigError, load_config
 from .mfopt import TraceEntry, trmm_optimize
 from .report import (
@@ -141,7 +147,7 @@ def _analyze(args, cfg, out) -> None:
         results = {}
         rows = []
         for i_lc in range(len(cfg.loadcases)):
-            res, _ = analysis.trim(model, i_lc)
+            res = analysis.trim(model, i_lc)
             tip = beam.n_nodes - 1
             name = _case_name(cfg, i_lc)
             results[name] = {
@@ -190,11 +196,7 @@ def _compare(args, cfg, out) -> None:
     for part, name in ((np.real, "real"), (np.imag, "imag")):
         a = part(lf_eigs)
         b = part(hf_eigs)
-        rows = [
-            [i, a[i], b[i],
-             abs(a[i] - b[i]) / abs(b[i]) if b[i] != 0.0 else 0.0]
-            for i in range(len(a))
-        ]
+        rows = [[i, a[i], b[i], relative_error(a[i], b[i])] for i in range(len(a))]
         write_csv(
             os.path.join(out, f"case3_eigenvalues_{name}.csv"),
             ["index", "lf_value", "hf_value", "relative_error"],

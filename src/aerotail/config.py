@@ -101,21 +101,6 @@ def _fidelity(entry: dict) -> FidelityConfig:
     return FidelityConfig(**kwargs)
 
 
-def _loadcase(entry: dict) -> LoadCase:
-    known = (
-        "V",
-        "rho",
-        "mach",
-        "load_factor",
-        "alpha",
-        "alpha_min",
-        "alpha_max",
-        "eta_min",
-        "name",
-    )
-    return LoadCase(**{k: entry[k] for k in known if k in entry})
-
-
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -143,12 +128,7 @@ def load_config(path) -> RunConfig:
                     "aileron span band must lie inside [0, semi_span] "
                     f"with y_start < y_end, got [{a['y_start']}, {a['y_end']}]"
                 )
-            aileron = AileronDef(
-                y_start=float(a["y_start"]),
-                y_end=float(a["y_end"]),
-                rows=int(a.get("rows", 1)),
-                tau=float(a.get("tau", 1.0)),
-            )
+            aileron = AileronDef(**a)
         definition = WingDefinition(
             planform=planform,
             n_bays=int(s["n_bays"]),
@@ -163,7 +143,7 @@ def load_config(path) -> RunConfig:
             fixed_mass=float(s.get("fixed_mass", 0.0)),
         )
         panels = [_panel(p) for p in raw["panels"]]
-        loadcases = [_loadcase(lc) for lc in raw["loadcases"]]
+        loadcases = [LoadCase(**lc) for lc in raw["loadcases"]]
         lf_fid = _fidelity(raw["fidelity"]["lf"])
         hf_fid = _fidelity(raw["fidelity"]["hf"])
         optimizer = OptimizerSettings(**raw["optimizer"])

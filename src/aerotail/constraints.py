@@ -14,10 +14,12 @@ Constraint vector (all entries feasible when <= 0), fixed layout:
 
 Fixed-length blocks are padded with a large negative sentinel where fewer
 values exist, so the layout never depends on the design.  AVAILABILITY
-names the level that evaluates each category ("LF", "HF" or "both"): a
-model fills the blocks of its level and reports NaN elsewhere.  Only LF
-evaluates aileron effectiveness, so at HF the ae rows are NaN.  The layout
-and the level's mask are built once per analysis.
+names the level that evaluates each category, "LF" or "both": a model
+fills the blocks of its level and reports NaN elsewhere.  Only LF evaluates
+aileron effectiveness, so at HF the ae rows are NaN.  No category is HF
+only: the optimizer corrects the shared rows and passes the LF-only ones
+through (`mfopt.partition_rows`).  The layout and the level's mask are
+built once per analysis.
 
 There are no beam-buckling rows: the beam nodes lie in z = 0 and every
 trimmed load is Fz, Mx or My, so the cantilever carries no axial force and
@@ -268,17 +270,14 @@ class WingAnalysis:
         panels = unpack_design(x, self.definition.n_panels)
         return build_wing_model(self.definition, panels, self.fidelity)
 
-    def trim(self, model: WingModel, i_lc: int) -> tuple[StaticAeroelasticResult, np.ndarray]:
-        """Flight state of load case i_lc and the total nodal load it carries.
+    def trim(self, model: WingModel, i_lc: int) -> StaticAeroelasticResult:
+        """Static aeroelastic equilibrium of load case i_lc: u, alpha and total lift.
 
         Gravity is scaled by the load factor; with a load factor the rigid
-        incidence is trimmed to the lift target.  The load is aero plus
-        gravity at the trimmed state, K_a u + f_alpha alpha + gravity.
+        incidence is trimmed to the lift target.
         """
         lc = self.loadcases[i_lc]
         beam = model.beam
-        flow = lc.flow
-        ops = model.structure.aero(flow)
         factor = lc.load_factor if lc.load_factor is not None else 1.0
         fe = beam.gravity_load(GRAVITY * factor)
         target = None
@@ -286,8 +285,9 @@ class WingAnalysis:
             target = lc.load_factor * GRAVITY * (
                 self.definition.supported_mass + beam.total_mass()
             )
-        res = static_aeroelastic(beam, ops, flow, extra_loads=fe, trim_lift=target)
-        return res, ops.K_a @ res.u + ops.f_alpha * res.alpha + fe
+        return static_aeroelastic(
+            beam, model.structure.aero(lc.flow), lc.flow, extra_loads=fe, trim_lift=target
+        )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -312,10 +312,10 @@ class WingAnalysis:
         defn = self.definition
         lay = self.layout
         beam = model.beam
-        res, _ = self.trim(model, i_lc)
+        res = self.trim(model, i_lc)
 
         if self._have("tw"):
-            sec, bay = model.sections, model.element_bay
+            sec, bay = model.sections, model.structure.element_bay
             strains = beam.element_mid_strains(res.u)[:, None, :]
             s = wall_stresses(sec.strain_map[bay], sec.membrane[bay], sec.thickness[bay], strains)
             w = tsai_wu_factor((s[..., 0], s[..., 1], s[..., 2]), defn.material) - 1.0
@@ -333,7 +333,7 @@ class WingAnalysis:
 
         if self._have("ae"):
             ail_ops = model.structure.aileron(lc.flow)
-            c[lay.rows(i_lc, "ae")] = lc.eta_min - aileron_solve(beam, ail_ops).eta
+            c[lay.rows(i_lc, "ae")] = lc.eta_min - aileron_solve(beam, ail_ops)
 
         if self._have("AoA"):
             y_st = np.asarray(defn.aoa_stations) * defn.planform.semi_span

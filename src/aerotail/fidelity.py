@@ -229,30 +229,17 @@ class WingModel:
     sections: SectionBatch
 
     @property
-    def definition(self) -> WingDefinition:
-        return self.structure.definition
-
-    @property
-    def element_bay(self) -> np.ndarray:
-        """Bay index of every beam element."""
-        return self.structure.element_bay
-
-    @property
-    def bay_axis_length(self) -> np.ndarray:
-        """Elastic-axis length of every bay."""
-        return self.structure.bay_axis_length
-
-    @property
     def lattice(self) -> Lattice:
         """The fidelity level's vortex lattice; it does not depend on the design."""
         return self.structure.lattice
 
     def structural_mass(self) -> float:
         # running total in bay order
-        return float(np.cumsum(self.bay_axis_length * self.sections.M[:, 0, 0])[-1])
+        lengths = self.structure.bay_axis_length
+        return float(np.cumsum(lengths * self.sections.M[:, 0, 0])[-1])
 
     def mass_with_fixed(self) -> float:
-        return self.structural_mass() + self.definition.fixed_mass
+        return self.structural_mass() + self.structure.definition.fixed_mass
 
 
 def _knockdown(kappa: float) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 The optimizer minimizes the high-fidelity mass subject to the constraint
 stack, but solves every trust-region subproblem on an additively corrected
-low-fidelity model.  At each accepted center the correction shifts the LF
-objective and every constraint entry both models share so that value and
-gradient match the HF model exactly (first-order consistency); entries only
-the LF model provides pass through uncorrected, and entries only the HF
-model provides are enforced at acceptance time rather than inside the
-subproblem.
+low-fidelity model.  Constraint rows come in two classes (Alexandrov,
+Dennis, Lewis & Torczon, Struct. Optim. 1998): at each accepted center the
+correction shifts the LF objective and every row both models provide so
+that value and gradient match the HF model exactly (first-order
+consistency), and rows only the LF model provides, too expensive to
+evaluate at HF, pass through uncorrected.  A row only the HF model provides
+has no LF model to correct; `partition_rows` rejects it with ValueError.
 
 Merit function: f + weight * max(0, worst violation).  Ratio test with
 eta1 = 0.1 and eta2 = 0.75; the radius halves on rejection, doubles (up to
@@ -61,11 +62,13 @@ POISON_C = 1.0e6
 
 
 def partition_rows(lf_mask: np.ndarray, hf_mask: np.ndarray):
-    """Row index sets: corrected (both), LF passthrough, HF acceptance-only."""
-    both = np.flatnonzero(lf_mask & hf_mask)
-    lf_only = np.flatnonzero(lf_mask & ~hf_mask)
-    hf_only = np.flatnonzero(~lf_mask & hf_mask)
-    return both, lf_only, hf_only
+    """Row index sets: corrected (both levels) and LF passthrough.
+
+    Raises ValueError when a row is available at HF only.
+    """
+    if np.any(~lf_mask & hf_mask):
+        raise ValueError("constraint rows available at HF only have no LF model to correct")
+    return np.flatnonzero(lf_mask & hf_mask), np.flatnonzero(lf_mask & ~hf_mask)
 
 
 @dataclass
@@ -115,7 +118,7 @@ def build_correction(
     lf_grad: GradientResult,
     hf_grad: GradientResult,
 ) -> CorrectionData:
-    both, _, _ = partition_rows(lf_out.mask, hf_out.mask)
+    both, _ = partition_rows(lf_out.mask, hf_out.mask)
     return CorrectionData(
         x_center=np.array(x_center, dtype=float),
         f_center_hf=hf_out.f,
@@ -141,7 +144,7 @@ def verify_consistency(
     gf = corr.corrected_grad_f(lf_grad.grad_f)
     c = corr.corrected_c(lf_out.c, x)
     gc = corr.corrected_grad_c(lf_grad.grad_c)
-    both, _, _ = partition_rows(lf_out.mask, hf_out.mask)
+    both = corr.both
     e_val = abs(f - hf_out.f) / (1.0 + abs(hf_out.f))
     e_grad = np.max(np.abs(gf - hf_grad.grad_f)) / (1.0 + np.max(np.abs(hf_grad.grad_f)))
     if both.size:
@@ -349,22 +352,21 @@ class SubproblemResult:
 def solve_subproblem(
     lf: _Cached,
     corr: CorrectionData,
-    x_center: np.ndarray,
     delta: float,
     lb: np.ndarray,
     ub: np.ndarray,
     scale: np.ndarray,
-    both: np.ndarray,
     lf_only: np.ndarray,
 ) -> SubproblemResult:
-    """Minimize the corrected model inside trust region and box.
+    """Minimize the corrected model inside trust region and box around corr's center.
 
     Constraint rows: corrected entries plus the raw LF passthrough entries.
     """
+    x_center = corr.x_center
     lo = np.maximum(lb, x_center - delta * scale)
     hi = np.minimum(ub, x_center + delta * scale)
     bounds = list(zip(lo, hi))
-    rows = np.concatenate([both, lf_only])
+    rows = np.concatenate([corr.both, lf_only])
 
     def con_values(x):
         return _clip(corr.corrected_c(lf.evaluate(x).c, x)[rows])
@@ -446,7 +448,6 @@ def trmm_optimize(
     scale = np.where(np.isfinite(ub - lb), 0.5 * (ub - lb), 1.0)
 
     hf_out = hf_count.evaluate(x0)
-    mask_hf = hf_out.mask
     nonsmooth = int(np.any(hf_out.nonsmooth))
 
     def report(xc, out_c, viol, trace, iters, term, restos, nonsm):
@@ -470,15 +471,14 @@ def trmm_optimize(
         )
 
     lf_out = lf_cached.evaluate(x0)
-    both, lf_only, hf_only = partition_rows(lf_out.mask, mask_hf)
-    acceptance_rows = np.concatenate([both, hf_only])
+    both, lf_only = partition_rows(lf_out.mask, hf_out.mask)
 
-    def merit(f, c, rows, c_lf):
-        """Merit and worst violation: rows of c, plus the LF passthrough rows of c_lf."""
-        v = max(_violation(_clip(c), rows), _violation(_clip(c_lf), lf_only))
+    def merit(f, c, c_lf):
+        """Merit and worst violation: shared rows of c, plus the LF passthrough rows of c_lf."""
+        v = max(_violation(_clip(c), both), _violation(_clip(c_lf), lf_only))
         return f + MERIT_WEIGHT * v, v
 
-    m0, v0 = merit(hf_out.f, hf_out.c, acceptance_rows, lf_out.c)
+    m0, v0 = merit(hf_out.f, hf_out.c, lf_out.c)
     trace = [TraceEntry(x=x0.copy(), f_hf=hf_out.f, violation=v0, delta=DELTA_INIT,
                         rho=np.nan, accepted=True)]
     if budget <= 1:
@@ -499,7 +499,7 @@ def trmm_optimize(
             term = "budget"
             break
         it += 1
-        sub = solve_subproblem(lf_cached, corr, xc, delta, lb, ub, scale, both, lf_only)
+        sub = solve_subproblem(lf_cached, corr, delta, lb, ub, scale, lf_only)
         cand, restored = sub.x, sub.restored
         restorations += int(restored)
         step = np.max(np.abs(cand - xc) / scale)
@@ -524,10 +524,10 @@ def trmm_optimize(
 
         # model merit at the candidate (corrected LF)
         m_model_cand, _ = merit(corr.corrected_f(lf_cand.f, cand),
-                                corr.corrected_c(lf_cand.c, cand), both, lf_cand.c)
+                                corr.corrected_c(lf_cand.c, cand), lf_cand.c)
         predicted = m_center - m_model_cand
         nonsmooth += int(np.any(hf_cand.nonsmooth))
-        m_cand, v_cand = merit(hf_cand.f, hf_cand.c, acceptance_rows, lf_cand.c)
+        m_cand, v_cand = merit(hf_cand.f, hf_cand.c, lf_cand.c)
         actual = m_center - m_cand
         rho = actual / predicted if predicted > 1e-16 else (-1.0 if actual <= 0 else 1.0)
 

@@ -3,9 +3,9 @@
 Nothing in the package calls these: handbook sections, straight
 cantilevers, the per-panel vortex-lattice influence and coupling loops, the
 rigid steady vortex-lattice solve, the static divergence
-eigenproblem, the largest constraint violation of an evaluate, the
-constraint-vector length formula and a closed-form LF/HF model pair for
-the optimizer.
+eigenproblem, the total nodal load of a trimmed state, the largest
+constraint violation of an evaluate, the constraint-vector length formula
+and a closed-form LF/HF model pair for the optimizer.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ from aerotail.aero import (
 )
 from aerotail.aeroelastic import N_STABILITY
 from aerotail.beam import BeamModel, ElementGeometry, ElementSet, PointMass
-from aerotail.constraints import N_FEASIBILITY, N_TSAI_WU, GradientResult, ModelOutputs
+from aerotail.constraints import (
+    GRAVITY,
+    N_FEASIBILITY,
+    N_TSAI_WU,
+    GradientResult,
+    ModelOutputs,
+)
 from aerotail.laminate import MaterialProperties, PanelDesign
 from aerotail.section import BOX_WALLS, CrossSection, box_corners
 
@@ -224,6 +230,19 @@ def divergence_factor(model: BeamModel, ops: AeroOperators) -> float:
 
 
 # -- constraint stack --------------------------------------------------------------
+
+
+def trim_load(analysis, model, i_lc: int) -> np.ndarray:
+    """Total nodal load at load case i_lc's trimmed state, K_a u + f_alpha alpha + gravity.
+
+    Aero plus gravity scaled by the load factor, summed in this order.
+    """
+    lc = analysis.loadcases[i_lc]
+    res = analysis.trim(model, i_lc)
+    ops = model.structure.aero(lc.flow)
+    factor = lc.load_factor if lc.load_factor is not None else 1.0
+    gravity = model.beam.gravity_load(GRAVITY * factor)
+    return ops.K_a @ res.u + ops.f_alpha * res.alpha + gravity
 
 
 def max_violation(out: ModelOutputs) -> float:

@@ -468,7 +468,7 @@ def structured_and_reference(analysis, x):
         ref = {"trim": reference_trim(beam, ops, flow, fe, target),
                "stability": reference_stability(beam, ops)}
         if ail is not None:
-            got["eta"] = aileron_solve(beam, ail).eta
+            got["eta"] = aileron_solve(beam, ail)
             ref["eta"] = reference_eta(beam, ail)
         out.append((got, ref))
     return out
@@ -569,8 +569,8 @@ class TestAileron:
     def test_effectiveness_below_unity(self):
         model = wing_beam()
         flow = FlowConditions(V=45.0, rho=1.2)
-        res = aileron_effectiveness(model, wing_lattice(), flow, self.AIL)
-        assert 0.0 < res.eta < 1.0
+        eta = aileron_effectiveness(model, wing_lattice(), flow, self.AIL)
+        assert 0.0 < eta < 1.0
 
     def test_stiffer_wing_more_effective(self):
         # both speeds stay below the antisymmetric divergence point
@@ -578,13 +578,13 @@ class TestAileron:
         lat = wing_lattice()
         soft = aileron_effectiveness(wing_beam(gj=4e4), lat, flow, self.AIL)
         hard = aileron_effectiveness(wing_beam(gj=8e4), lat, flow, self.AIL)
-        assert soft.eta < hard.eta < 1.0
+        assert soft < hard < 1.0
 
     def test_effectiveness_drops_with_speed(self):
         model = wing_beam(gj=8e4)
         lat = wing_lattice()
         etas = [
-            aileron_effectiveness(model, lat, FlowConditions(V=v, rho=1.2), self.AIL).eta
+            aileron_effectiveness(model, lat, FlowConditions(V=v, rho=1.2), self.AIL)
             for v in (20.0, 45.0, 60.0)
         ]
         assert etas[0] > etas[1] > etas[2]

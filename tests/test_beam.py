@@ -18,7 +18,7 @@ from aerotail.beam import (
 )
 from aerotail.config import load_config
 
-from oracles import SectionProperties, cantilever_model, prescribed_section
+from oracles import SectionProperties, cantilever_model, prescribed_section, trim_load
 
 DATA = os.path.join(os.path.dirname(aerotail.__file__), "data")
 
@@ -293,7 +293,7 @@ class TestBuckling:
         for analysis in cfg.analyses():
             for i_lc in range(len(analysis.loadcases)):
                 model = analysis.build_model(cfg.initial_design())
-                cases.append((model.beam, analysis.trim(model, i_lc)[1]))
+                cases.append((model.beam, trim_load(analysis, model, i_lc)))
 
         def dense(*args, **kwargs):
             raise AssertionError("dense solve on the zero-count path")
@@ -326,7 +326,7 @@ class TestStaticSolveFactor:
         for analysis in cfg.analyses():
             model = analysis.build_model(cfg.initial_design())
             b = model.beam
-            for f in (analysis.trim(model, 0)[1], rng.normal(size=b.n_dof)):
+            for f in (trim_load(analysis, model, 0), rng.normal(size=b.n_dof)):
                 expect = scipy.linalg.solve(b.stiffness()[6:, 6:], f[6:], assume_a="pos")
                 u = b.static_solve(f)
                 assert np.array_equal(u[6:], expect)
@@ -350,7 +350,8 @@ class TestBandedFactor:
             i, j = np.nonzero(b.stiffness())
             assert b.half_bandwidth == np.abs(i - j).max()
             kff = b.stiffness()[6:, 6:]
-            f = np.column_stack([analysis.trim(model, 0)[1][6:], rng.normal(size=kff.shape[0])])
+            f = np.column_stack([trim_load(analysis, model, 0)[6:],
+                                 rng.normal(size=kff.shape[0])])
             expect = scipy.linalg.cho_solve(scipy.linalg.cho_factor(kff), f)
             x = b.kff_solve(f)
             assert np.all(np.linalg.norm(x - expect, axis=0)

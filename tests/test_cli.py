@@ -184,7 +184,7 @@ class TestMatchesConstraintStack:
         assert len(doc["results"]) == len(cfg.loadcases)
         for i, lc in enumerate(cfg.loadcases):
             got = doc["results"][lc.name]
-            res, _ = analysis.trim(model, i)
+            res = analysis.trim(model, i)
             for key, ref in (("alpha_rad", res.alpha), ("total_lift", res.total_lift),
                              ("tip_deflection", float(res.u[6 * tip + 2])),
                              ("tip_twist", float(res.u[6 * tip + 4]))):
@@ -236,6 +236,24 @@ class TestCompare:
                      "case3_eigenvalues.svg", "case3_mac.svg",
                      "case3_report.json"):
             assert os.path.exists(os.path.join(out, name)), name
+
+    def test_case3_relative_error_is_inf_on_a_zero_hf_part(self, tmp_path, monkeypatch):
+        # a real HF eigenvalue has a zero imaginary part the LF one lacks
+        real_compare = cli.compare_aeroelastic
+
+        def compare(lf, hf, flow):
+            rep = real_compare(lf, hf, flow)
+            rep.eigenvalue_tables["hf_eigenvalues"][0] = -1.0
+            return rep
+
+        monkeypatch.setattr(cli, "compare_aeroelastic", compare)
+        out = str(tmp_path / "o")
+        assert run("compare", "--case", "3", "--config", TOY,
+                   "--out", out) == EXIT_OK
+        lines = open(os.path.join(out, "case3_eigenvalues_imag.csv")).read().splitlines()
+        index, lf_value, hf_value, error = lines[1].split(",")
+        assert index == "0" and hf_value == "0" and float(lf_value) != 0.0
+        assert error == "inf"
 
 
 class TestOutputDirPrecedence:

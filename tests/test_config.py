@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import aerotail
+from aerotail.aeroelastic import AileronDef
 from aerotail.cli import EXIT_CONFIG, main
 from aerotail.config import ConfigError, OptimizerSettings, config_schema, load_config
+from aerotail.constraints import LoadCase
 from aerotail.laminate import lp_from_stack
 from aerotail.mfopt import trmm_optimize
 
@@ -106,6 +108,20 @@ class TestConventions:
         fields = {f.name for f in dataclasses.fields(OptimizerSettings)}
         params = set(inspect.signature(trmm_optimize).parameters) - {"lf", "hf", "x0"}
         assert set(kw) == schema_keys == fields == params
+
+    def test_loadcase_and_aileron_keys_match_fields(self):
+        # both are built from their validated entries as they stand
+        props = config_schema()["properties"]
+        loadcase_keys = set(props["loadcases"]["items"]["properties"])
+        aileron_keys = set(props["structure"]["properties"]["aileron"]["properties"])
+        assert loadcase_keys == {f.name for f in dataclasses.fields(LoadCase)}
+        assert aileron_keys == {f.name for f in dataclasses.fields(AileronDef)}
+
+    def test_aileron_defaults_apply(self, write_config):
+        doc = toy_doc()
+        doc["structure"]["aileron"] = {"y_start": 2.4, "y_end": 3.8}
+        cfg = load_config(write_config(doc))
+        assert cfg.definition.aileron == AileronDef(y_start=2.4, y_end=3.8, rows=1, tau=1.0)
 
     def test_missing_output_directory_defaults_to_cwd(self, write_config):
         doc = toy_doc()

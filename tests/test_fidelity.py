@@ -124,7 +124,7 @@ class TestGeometry:
         )
         panels = small_panels() + small_panels()
         model = build_wing_model(defn, panels, FidelityConfig(mesh_factor=2))
-        assert np.array_equal(model.element_bay, [0, 0, 1, 1, 2, 2, 3, 3])
+        assert np.array_equal(model.structure.element_bay, [0, 0, 1, 1, 2, 2, 3, 3])
         assert defn.n_panels == 4
 
     def test_sections_taper_with_chord(self):
@@ -512,7 +512,6 @@ def per_element_assembly(nodes, sections, bay, point_masses):
     for pm in point_masses:
         base = 6 * pm.node
         m[base : base + 3, base : base + 3] += pm.mass * np.eye(3)
-        m[base + 3 : base + 6, base + 3 : base + 6] += np.diag(pm.inertia)
     return 0.5 * (k + k.T), 0.5 * (m + m.T)
 
 
@@ -556,12 +555,13 @@ class TestBatchedAssembly:
             assert np.array_equal(model.beam.stiffness(), k)
             assert np.array_equal(model.beam.mass(), m)
             assert model.structural_mass() == sum(
-                length * s.M[0, 0] for length, s in zip(model.bay_axis_length, sections)
+                length * s.M[0, 0]
+                for length, s in zip(model.structure.bay_axis_length, sections)
             )
-            grad = per_bay_thickness_gradient(defn, model.bay_axis_length)
+            grad = per_bay_thickness_gradient(defn, model.structure.bay_axis_length)
             assert np.array_equal(analysis.mass_gradient(x)[8::9], grad)
 
-            res, _ = analysis.trim(model, 0)
+            res = analysis.trim(model, 0)
             strains = model.beam.element_mid_strains(res.u)
             assert np.array_equal(strains, per_element_mid_strains(nodes, sections, bay, res.u))
 

@@ -78,9 +78,23 @@ class TestCorrection:
 
     def test_partition_rows(self):
         lf_mask = np.array([True, True, False])
-        hf_mask = np.array([True, False, True])
-        both, lf_only, hf_only = partition_rows(lf_mask, hf_mask)
-        assert list(both) == [0] and list(lf_only) == [1] and list(hf_only) == [2]
+        hf_mask = np.array([True, False, False])
+        both, lf_only = partition_rows(lf_mask, hf_mask)
+        assert list(both) == [0] and list(lf_only) == [1]
+        # a row only HF provides has no LF model to correct
+        with pytest.raises(ValueError, match="HF only"):
+            partition_rows(lf_mask, np.array([True, False, True]))
+
+
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    def test_shipped_hf_rows_are_lf_rows(self, name):
+        # the invariant the two row classes rest on: HF provides no row LF lacks
+        cfg = load_config(os.path.join(os.path.dirname(TOY), name))
+        lf, hf = (a.evaluate(cfg.initial_design()) for a in cfg.analyses())
+        assert not np.any(hf.mask & ~lf.mask)
+        assert np.any(lf.mask & ~hf.mask)  # the aileron rows pass through
+        both, lf_only = partition_rows(lf.mask, hf.mask)
+        assert both.size + lf_only.size == np.count_nonzero(lf.mask)
 
 
 class TestLoop:
