@@ -36,7 +36,12 @@ _stability_basis pick them:
 
 Models up to N_MODES free dofs keep dense solves on their free dofs: on the
 toy wing, whose K_a has 3 and 6 support columns, the low-rank trim measured
-slower, and its optimizer trajectory forks on any last-bit change.
+slower, and its optimizer trajectory forks on any last-bit change.  Their
+static_aeroelastic, dynamic_stability and aileron_solve also take a model
+holding a stack of designs (`BeamModel.stack`) and return one result per
+design, each bit-identical to its own model's: the solves run per design,
+and every per-design product and norm keeps the BLAS routine (gemv, dot)
+of the single call.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .aero import (
     lift_indicator,
     wash_stiffness,
 )
-from .beam import BeamModel
+from .beam import BeamModel, stack_matvec
 
 _DEGENERATE_TOL = 1e-6
 
@@ -69,20 +74,32 @@ FLUTTER_TOL = 1e-4  # relative width of the critical-speed bracket at return
 FLUTTER_MAX_ITER = 80  # bisection halvings before critical_speed gives up
 
 
-def _modal(model: BeamModel) -> bool:
-    """True above N_MODES free dofs: the modal stability basis and structured solves."""
+def _modal(model) -> bool:
+    """True above N_MODES free dofs: the modal stability basis and structured solves.
+
+    model is a BeamModel, or the WingStructure it is built on: both hold
+    the free dofs.
+    """
     return model.free.size > N_MODES
 
 
 def _bordered(a: np.ndarray, col: np.ndarray, row: np.ndarray, corner: float) -> np.ndarray:
-    """[[a, col], [row, corner]]: square a bordered by one column, one row and a corner."""
-    n = a.shape[0]
-    out = np.empty((n + 1, n + 1))
-    out[:n, :n] = a
-    out[:n, n] = col
-    out[n, :n] = row
-    out[n, n] = corner
+    """[[a, col], [row, corner]]: square a bordered by one column, one row and a corner.
+
+    a may carry leading stack axes; col, row and corner broadcast against them.
+    """
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (n + 1, n + 1))
+    out[..., :n, :n] = a
+    out[..., :n, n] = col
+    out[..., n, :n] = row
+    out[..., n, n] = corner
     return out
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b by LU for one vector b per matrix of a stack; a 1-D b serves every matrix."""
+    return scipy.linalg.solve(a, b[..., None])[..., 0]
 
 
 def _low_rank_solve(
@@ -127,20 +144,23 @@ def _solve_free(
     """Free-dof u with (K - k_a)_ff u = b, bordered as in _low_rank_solve; returns (u, s).
 
     _modal models go through _low_rank_solve with k_a = k_wash wash; smaller
-    ones solve (K - k_a)_ff by dense LU, bordered when border is given.
+    ones solve (K - k_a)_ff by dense LU, bordered when border is given, on
+    one design or on each of a stack (b and the border's t then per design).
     """
     if _modal(model):
         return _low_rank_solve(model, k_wash, wash, b, border)
     a = model.free_block(model.stiffness() - k_a)
     if border is None:
-        return scipy.linalg.solve(a, b), 0.0
+        return _solve(a, b), 0.0
     c, l, d, t = border
-    sol = scipy.linalg.solve(_bordered(a, -c, l, d), np.append(b, t))
-    return sol[:-1], sol[-1]
+    sol = _solve(_bordered(a, -c, l, d), np.concatenate([b, np.asarray(t)[..., None]], axis=-1))
+    return sol[..., :-1], sol[..., -1]
 
 
 @dataclass
 class StaticAeroelasticResult:
+    """Equilibrium state; on a stacked model u, alpha and total_lift are per design."""
+
     u: np.ndarray
     alpha: float
     total_lift: float
@@ -162,7 +182,8 @@ def static_aeroelastic(
     equilibrium: (K - K_a)_ff at fixed incidence, the same block bordered by
     the lift row when trimmed, both by _solve_free.  The residuals of
     equilibrium and lift target are then checked against _TRIM_TOL; a miss
-    raises RuntimeError.
+    raises RuntimeError.  On a stacked model extra_loads and trim_lift are
+    per design, and a miss of any design raises.
     """
     n_dof = model.n_dof
     free = model.free
@@ -170,47 +191,58 @@ def static_aeroelastic(
     sz = lift_indicator(n_dof)
     k = model.stiffness()
     trim = trim_lift is not None
-    u = np.zeros(n_dof)
+    u = np.zeros(model.stack + (n_dof,))
     alpha = flow.alpha
     f_rigid = ops.f_alpha * alpha
-    lift_scale = max(abs(trim_lift) if trim else 0.0, np.abs(ops.f_alpha).sum(), 1.0)
-    force_scale = max(np.linalg.norm(f_rigid + extra), lift_scale)
+    lift_scale = np.maximum(np.abs(trim_lift) if trim else 0.0,
+                            max(np.abs(ops.f_alpha).sum(), 1.0))
+    force_scale = np.maximum(_norm(f_rigid + extra), lift_scale)
 
     border = None
     if trim:
         border = (ops.f_alpha[free], ops.lift_row[free], ops.lift_alpha,
                   trim_lift - sz @ f_rigid)
-    u[free], d_alpha = _solve_free(
-        model, ops.K_a, ops.k_wash, ops.wash, (f_rigid + extra)[free], border
+    u[..., free], d_alpha = _solve_free(
+        model, ops.K_a, ops.k_wash, ops.wash, (f_rigid + extra)[..., free], border
     )
     alpha += d_alpha
 
-    f_aero = ops.K_a @ u + ops.f_alpha * alpha
-    r_struct = (k @ u - f_aero - extra)[free]
-    r_lift = (sz @ f_aero - trim_lift) if trim else 0.0
-    if (np.linalg.norm(r_struct) > _TRIM_TOL * force_scale
-            or abs(r_lift) > _TRIM_TOL * lift_scale):
+    f_aero = stack_matvec(ops.K_a, u) + np.multiply.outer(alpha, ops.f_alpha)
+    r_struct = (stack_matvec(k, u) - f_aero - extra)[..., free]
+    lift = np.vecdot(f_aero, sz)
+    r_lift = (lift - trim_lift) if trim else 0.0
+    if np.any((_norm(r_struct) > _TRIM_TOL * force_scale)
+              | (np.abs(r_lift) > _TRIM_TOL * lift_scale)):
         raise RuntimeError("static aeroelastic solve missed equilibrium")
-    return StaticAeroelasticResult(
-        u=u, alpha=alpha, total_lift=float(sz @ f_aero), iterations=1
-    )
+    return StaticAeroelasticResult(u=u, alpha=alpha, total_lift=lift, iterations=1)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector of a stack, as np.linalg.norm(v) computes one."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _rayleigh_coefficients(omega: np.ndarray) -> tuple[float, float]:
-    """(a, b) of C_s = a M + b K with damping ratio ZETA at omega[0] and omega[1]."""
-    w = omega[:2]
-    if w[0] <= 0.0:
+    """(a, b) of C_s = a M + b K with damping ratio ZETA at omega[..., 0] and omega[..., 1]."""
+    w0, w1 = omega[..., 0], omega[..., 1]
+    if np.any(w0 <= 0.0):
         raise ValueError("model has no elastic modes to calibrate damping")
-    a = 2.0 * ZETA * w[0] * w[1] / (w[0] + w[1])
-    b = 2.0 * ZETA / (w[0] + w[1])
+    a = 2.0 * ZETA * w0 * w1 / (w0 + w1)
+    b = 2.0 * ZETA / (w0 + w1)
     return a, b
 
 
 def rayleigh_damping(model: BeamModel) -> np.ndarray:
-    """Mass plus stiffness proportional damping, ZETA at the two lowest modes."""
+    """Mass plus stiffness proportional damping, ZETA at the two lowest modes.
+
+    The two lowest frequencies come from model.lowest_frequencies, without
+    mode shapes, on one design or on each design of a stack.
+    """
     # one element already leaves 6 free dofs, so two modes always exist
-    a, b = _rayleigh_coefficients(model.modal(2).omega)
-    return a * model.mass() + b * model.stiffness()
+    a, b = _rayleigh_coefficients(model.lowest_frequencies())
+    damping = np.asarray(a)[..., None, None] * model.mass()
+    damping += np.asarray(b)[..., None, None] * model.stiffness()
+    return damping
 
 
 @dataclass
@@ -219,7 +251,8 @@ class StabilityBasis:
 
     phi None is the identity basis, the free dofs themselves: stiffness and
     damping are the free-dof blocks of K and rayleigh_damping, and M^-1
-    goes through the mass Cholesky factor cho.  Otherwise phi holds the
+    goes through the mass Cholesky factor cho.  On a stacked model these
+    carry the stack's leading axes.  Otherwise phi holds the
     lowest N_MODES mass-normalised structural modes as columns, so the
     projected mass is the identity, K is diag(Lambda) with Lambda their
     squared frequencies, and the Rayleigh damping calibrated on them is
@@ -235,7 +268,7 @@ class StabilityBasis:
     @property
     def size(self) -> int:
         """Number of coordinates; n_free for the identity basis."""
-        return self.stiffness.shape[0]
+        return self.stiffness.shape[-1]
 
     @property
     def omega_max(self) -> float:
@@ -255,13 +288,14 @@ class StabilityBasis:
     def state_matrix(self, k_a: np.ndarray, d_a: np.ndarray) -> np.ndarray:
         """[[0, I], [-M^-1 (K - k_a), -M^-1 (C_s - d_a)]] for k_a, d_a in basis coordinates.
 
-        In Fortran order, so eigvals can overwrite it in place.
+        One per design of a stacked basis.  Each matrix is in Fortran order,
+        so eigvals can overwrite it in place.
         """
         n = self.size
-        a = np.zeros((2 * n, 2 * n), order="F")
-        a[:n, n:] = np.eye(n)
-        a[n:, :n] = -self._m_inv(self.stiffness - k_a)
-        a[n:, n:] = -self._m_inv(self.damping - d_a)
+        a = np.zeros(self.stiffness.shape[:-2] + (2 * n, 2 * n)).swapaxes(-1, -2)
+        a[..., :n, n:] = np.eye(n)
+        np.negative(self._m_inv(self.stiffness - k_a), out=a[..., n:, :n])
+        np.negative(self._m_inv(self.damping - d_a), out=a[..., n:, n:])
         return a
 
     def _m_inv(self, a: np.ndarray) -> np.ndarray:
@@ -275,9 +309,10 @@ class StabilityBasis:
 def _stability_basis(model: BeamModel) -> StabilityBasis:
     """Identity basis up to N_MODES free dofs, the lowest N_MODES modes beyond.
 
-    The modes come from model.modal, which the model caches, so neither
-    another load case nor another speed recomputes them; the modal basis
-    calibrates its Rayleigh damping on them too.
+    The identity basis calibrates its Rayleigh damping on
+    model.lowest_frequencies, the modal basis on the modes of model.modal;
+    the model caches both, so neither another load case nor another speed
+    recomputes them.
     """
     if not _modal(model):
         block = model.free_block
@@ -295,7 +330,7 @@ def _stability_basis(model: BeamModel) -> StabilityBasis:
 class StabilityResult:
     eigenvalues: np.ndarray  # complex, sorted by descending real part
     shapes: np.ndarray | None  # displacement partitions, (n_dof, k), complex; None unless asked
-    degenerate: bool  # nearly repeated leading eigenvalues present
+    degenerate: bool  # nearly repeated leading eigenvalues present; per design on a stack
     basis: StabilityBasis  # its size and omega_max state the modal truncation
 
     @property
@@ -310,7 +345,8 @@ def dynamic_stability(
 
     With shapes False no eigenvectors are computed and the result's shapes
     is None.  The eigenvalues, their order and the degenerate flag are the
-    same either way, so callers that read only those pass False.
+    same either way, so callers that read only those pass False.  A stacked
+    model takes shapes False and gives eigenvalues and degenerate per design.
     """
     basis = _stability_basis(model)
     n = basis.size
@@ -319,15 +355,18 @@ def dynamic_stability(
         lam, vec = scipy.linalg.eig(a)
     else:
         lam = scipy.linalg.eigvals(a, overwrite_a=True)
-    order = np.lexsort((-lam.imag, -lam.real))
-    keep = order[: min(n_keep, lam.size)]
+    order = np.lexsort((-lam.imag, -lam.real), axis=-1)
+    keep = order[..., : min(n_keep, lam.shape[-1])]
     modes = None
     if shapes:
         modes = np.zeros((model.n_dof, keep.size), dtype=complex)
         modes[model.free, :] = basis.expand(vec[:n, keep])
-    kept = lam[keep]
-    gaps = np.abs(np.diff(kept))
-    degenerate = bool(np.any(gaps < _DEGENERATE_TOL * np.maximum(np.abs(kept[:-1]), 1.0)))
+    kept = np.take_along_axis(lam, keep, axis=-1)
+    gaps = np.abs(np.diff(kept, axis=-1))
+    tol = _DEGENERATE_TOL * np.maximum(np.abs(kept[..., :-1]), 1.0)
+    degenerate = np.any(gaps < tol, axis=-1)
+    if not model.stack:
+        degenerate = bool(degenerate)
     return StabilityResult(eigenvalues=kept, shapes=modes, degenerate=degenerate, basis=basis)
 
 
@@ -408,18 +447,23 @@ def aileron_solve(model: BeamModel, ops: AileronOperators) -> float:
 
     The flexible response (K - k_a)_ff u = f_delta is solved by _solve_free,
     and its residual is checked against _TRIM_TOL as the trim's is; a miss
-    raises RuntimeError.
+    raises RuntimeError.  A stacked model gives one eta per design, and a
+    miss of any design raises.
     """
     lattice, flow = ops.lattice, ops.flow
     free = model.free
-    u = np.zeros(model.n_dof)
-    u[free], _ = _solve_free(model, ops.k_a, ops.k_wash, ops.wash, ops.f_delta[free])
-    r_struct = (model.stiffness() @ u - ops.k_a @ u - ops.f_delta)[free]
-    if np.linalg.norm(r_struct) > _TRIM_TOL * max(np.abs(ops.f_delta).sum(), 1.0):
+    u = np.zeros(model.stack + (model.n_dof,))
+    u[..., free], _ = _solve_free(model, ops.k_a, ops.k_wash, ops.wash, ops.f_delta[free])
+    r_struct = (stack_matvec(model.stiffness(), u) - stack_matvec(ops.k_a, u)
+                - ops.f_delta)[..., free]
+    if np.any(_norm(r_struct) > _TRIM_TOL * max(np.abs(ops.f_delta).sum(), 1.0)):
         raise RuntimeError("aileron solve missed equilibrium")
-    gamma_f = np.linalg.solve(ops.w_anti, -flow.V * (ops.alpha_delta + ops.t_wash @ u))
+    rhs = -flow.V * (ops.alpha_delta + stack_matvec(ops.t_wash, u))
+    # one LU per design: a shared factor with many right-hand sides rounds differently
+    w_anti = np.broadcast_to(ops.w_anti, rhs.shape[:-1] + ops.w_anti.shape)
+    gamma_f = np.linalg.solve(w_anti, rhs[..., None])[..., 0]
     lift_f = flow.rho * flow.V * gamma_f * lattice.dy
-    roll_f = float(np.sum(lattice.load_pts[:, 1] * lift_f))
+    roll_f = np.sum(lattice.load_pts[:, 1] * lift_f, axis=-1)
     return roll_f / ops.roll_rigid
 
 

@@ -25,11 +25,20 @@ Element data are arrays over all elements.  `ElementGeometry` holds what
 the nodes fix (lengths, frames, 12x12 transforms, dofs and assembly
 indices), `ElementSet` adds the section matrices of one design, and every
 element matrix, assembly and element state is one batched expression over
-them.  Every model is clamped at node 0; its other dofs are free.
+them.  Every model is clamped at node 0; its other dofs (`free_dofs`) are
+free.
+
+A model may also hold a stack of designs on the same nodes: section
+matrices with a leading design axis give element matrices, K, M and
+element states with that axis too, each design's entries bit-identical to
+its own model's, and so do the two lowest frequencies
+(`lowest_frequencies`).  The dense solvers (`static_solve`, `modal`,
+`buckling`) take one design.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -149,6 +158,16 @@ class ElementGeometry:
         )
 
 
+def free_dofs(n_nodes: int) -> np.ndarray:
+    """Free dofs of a beam on n_nodes nodes clamped at node 0: every dof but node 0's."""
+    return np.arange(6, 6 * n_nodes)
+
+
+def stack_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for vectors x with any leading stack axes: one gemv per vector, as a @ x."""
+    return (a @ x[..., None])[..., 0]
+
+
 def _element_stiffness(sc: np.ndarray, g: ElementGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Exact 12x12 local stiffnesses and end stiffnesses K22 from Sc = C^-1."""
     a1t_sc = _A1.T @ sc
@@ -160,19 +179,19 @@ def _element_stiffness(sc: np.ndarray, g: ElementGeometry) -> tuple[np.ndarray, 
     k22 = np.linalg.inv(f22)
     k22 = 0.5 * (k22 + k22.swapaxes(-1, -2))
     rt = g.rigid.swapaxes(-1, -2)
-    k = np.empty((k22.shape[0], 12, 12))
-    k[:, :6, :6] = rt @ k22 @ g.rigid
-    k[:, :6, 6:] = -rt @ k22
-    k[:, 6:, :6] = k[:, :6, 6:].swapaxes(-1, -2)
-    k[:, 6:, 6:] = k22
+    k = np.empty(k22.shape[:-2] + (12, 12))
+    k[..., :6, :6] = rt @ k22 @ g.rigid
+    k[..., :6, 6:] = -rt @ k22
+    k[..., 6:, :6] = k[..., :6, 6:].swapaxes(-1, -2)
+    k[..., 6:, 6:] = k22
     return 0.5 * (k + k.swapaxes(-1, -2)), k22
 
 
 def _element_mass(m_sec: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Consistent masses from linear interpolation of all six components."""
-    m = np.empty((m_sec.shape[0], 12, 12))
-    m[:, :6, :6] = m[:, 6:, 6:] = (length / 3.0)[:, None, None] * m_sec
-    m[:, :6, 6:] = m[:, 6:, :6] = (length / 6.0)[:, None, None] * m_sec
+    m = np.empty(m_sec.shape[:-2] + (12, 12))
+    m[..., :6, :6] = m[..., 6:, 6:] = (length / 3.0)[:, None, None] * m_sec
+    m[..., :6, 6:] = m[..., 6:, :6] = (length / 6.0)[:, None, None] * m_sec
     return m
 
 
@@ -190,11 +209,20 @@ def _element_geometric(axial_force: np.ndarray, g: ElementGeometry) -> np.ndarra
 
 
 def _assemble(g: ElementGeometry, local: np.ndarray, n_dof: int) -> np.ndarray:
-    """Sum the global element matrices into n_dof x n_dof, element by element."""
+    """Sum the global element matrices into n_dof x n_dof, element by element.
+
+    local may carry leading stack axes; each design's matrix then goes to
+    its own offset of one bincount, so its sums run in the same order.
+    """
     blocks = g.transform.swapaxes(-1, -2) @ local @ g.transform
-    return np.bincount(g.scatter, weights=blocks.ravel(), minlength=n_dof * n_dof).reshape(
-        n_dof, n_dof
-    )
+    stack = blocks.shape[:-3]
+    n_designs = math.prod(stack)
+    offsets = (n_dof * n_dof) * np.arange(n_designs)
+    return np.bincount(
+        (offsets[:, None] + g.scatter).ravel(),
+        weights=blocks.ravel(),
+        minlength=n_designs * n_dof * n_dof,
+    ).reshape(stack + (n_dof, n_dof))
 
 
 def _count_positive(a: np.ndarray) -> int:
@@ -218,8 +246,9 @@ def _count_positive(a: np.ndarray) -> int:
 class ElementSet:
     """Beam elements in array form.
 
-    C and M are the 6x6 stiffness and inertia of each distinct section;
-    section maps every element to one of them.
+    C and M are the 6x6 stiffness and inertia of each distinct section,
+    (..., n_sections, 6, 6) with optional leading stack axes; section maps
+    every element to one of them.
     """
 
     geometry: ElementGeometry
@@ -252,7 +281,11 @@ class BucklingResult:
 
 
 class BeamModel:
-    """Assembled beam clamped at node 0: nodes, an ElementSet on them, point masses."""
+    """Assembled beam clamped at node 0: nodes, an ElementSet on them, point masses.
+
+    stack is the leading shape of the element set's section matrices, ()
+    for one design; K, M, displacements and element states carry it too.
+    """
 
     def __init__(
         self,
@@ -263,25 +296,28 @@ class BeamModel:
         self.nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
         self.n_nodes = self.nodes.shape[0]
         self.n_dof = 6 * self.n_nodes
-        self.free = np.arange(6, self.n_dof)  # every dof but node 0's
+        self.free = free_dofs(self.n_nodes)
         self.point_masses = tuple(point_masses)
         self.elements = elements
-        self._C = elements.C[elements.section]
-        sc = np.linalg.inv(elements.C)[elements.section]
+        self.stack = elements.C.shape[:-3]
+        per_element = (..., elements.section, slice(None), slice(None))
+        self._C = elements.C[per_element]
+        sc = np.linalg.inv(elements.C)[per_element]
         self._k_local, self._k22 = _element_stiffness(sc, elements.geometry)
-        self._m_local = _element_mass(elements.M[elements.section], elements.geometry.length)
+        self._m_local = _element_mass(elements.M[per_element], elements.geometry.length)
         self._K: np.ndarray | None = None
         self._M: np.ndarray | None = None
         self._kff_cho: tuple | None = None
         self._kff_band: np.ndarray | None = None
         self._modes: dict[int, ModalResult] = {}
+        self._omega_pair: np.ndarray | None = None
 
     # -- assembly ---------------------------------------------------------
 
     def stiffness(self) -> np.ndarray:
         if self._K is None:
             k = _assemble(self.elements.geometry, self._k_local, self.n_dof)
-            self._K = 0.5 * (k + k.T)
+            self._K = 0.5 * (k + k.swapaxes(-1, -2))
         return self._K
 
     def mass(self) -> np.ndarray:
@@ -289,14 +325,15 @@ class BeamModel:
             m = _assemble(self.elements.geometry, self._m_local, self.n_dof)
             for pm in self.point_masses:
                 base = 6 * pm.node
-                m[base : base + 3, base : base + 3] += pm.mass * np.eye(3)
-            self._M = 0.5 * (m + m.T)
+                m[..., base : base + 3, base : base + 3] += pm.mass * np.eye(3)
+            self._M = 0.5 * (m + m.swapaxes(-1, -2))
         return self._M
 
-    def total_mass(self) -> float:
+    def total_mass(self):
+        """Translational mass z' M z, a float or one per design of the stack."""
         z = np.zeros(self.n_dof)
         z[2::6] = 1.0
-        return float(z @ self.mass() @ z)
+        return np.vecdot(z @ self.mass(), z)
 
     def geometric_stiffness(self, u: np.ndarray) -> np.ndarray:
         """Assembled geometric stiffness at the displacement state u."""
@@ -309,15 +346,15 @@ class BeamModel:
     def _deformations(self, u: np.ndarray) -> np.ndarray:
         """Local end-2 displacements relative to the rigid motion of end 1, (n_elem, 6)."""
         g = self.elements.geometry
-        u_loc = (g.transform @ np.asarray(u, dtype=float)[g.dofs][..., None])[..., 0]
-        return u_loc[:, 6:] - (g.rigid @ u_loc[:, :6, None])[..., 0]
+        u_loc = stack_matvec(g.transform, np.asarray(u, dtype=float)[..., g.dofs])
+        return u_loc[..., 6:] - stack_matvec(g.rigid, u_loc[..., :6])
 
     def _end_forces(self, u: np.ndarray) -> np.ndarray:
-        """Local end-2 load vectors, (n_elem, 6)."""
-        return (self._k22 @ self._deformations(u)[..., None])[..., 0]
+        """Local end-2 load vectors, (..., n_elem, 6)."""
+        return stack_matvec(self._k22, self._deformations(u))
 
     def element_mid_strains(self, u: np.ndarray) -> np.ndarray:
-        """Section strain vector of every element at its midpoint, (n_elem, 6)."""
+        """Section strain vector of every element at its midpoint, (..., n_elem, 6)."""
         s_mid = self.elements.geometry.mid @ self._end_forces(u)[..., None]
         return np.linalg.solve(self._C, s_mid)[..., 0]
 
@@ -328,8 +365,8 @@ class BeamModel:
     # -- solvers ----------------------------------------------------------
 
     def free_block(self, a: np.ndarray) -> np.ndarray:
-        """The free-dof block of an n_dof x n_dof matrix, as a view."""
-        return a[6:, 6:]
+        """The free-dof block of (a stack of) n_dof x n_dof matrices, as a view."""
+        return a[..., 6:, 6:]
 
     def _kff_cholesky(self) -> tuple:
         """Upper Cholesky factor of the free-dof stiffness, as cho_factor returns it.
@@ -401,6 +438,18 @@ class BeamModel:
             shapes.flags.writeable = False
             self._modes[n] = ModalResult(omega=omega, shapes=shapes)
         return self._modes[n]
+
+    def lowest_frequencies(self) -> np.ndarray:
+        """The two lowest circular frequencies, (..., 2), without mode shapes.
+
+        One pair per design of a stack; cached and read-only like the modes.
+        """
+        if self._omega_pair is None:
+            w2 = eigh(self.free_block(self.stiffness()), self.free_block(self.mass()),
+                      subset_by_index=[0, 1], eigvals_only=True)
+            self._omega_pair = np.sqrt(np.clip(w2, 0.0, None))
+            self._omega_pair.flags.writeable = False
+        return self._omega_pair
 
     def buckling(self, loads: np.ndarray, n_modes: int = 8) -> BucklingResult:
         """Linearized buckling factors for the given reference load, ascending.

@@ -33,7 +33,12 @@ never evaluated outside its domain.  The model reads a panel only through
 its membrane stiffness and thickness, so the xiD columns of those rows are
 exactly 0.0 on available rows and NaN elsewhere, which is what probing them
 would give.  Near-coincident eigenvalues are reported through per-entry
-non-smoothness flags so the optimizer can react.
+non-smoothness flags so the optimizer can react.  On models with dense
+solves (at most aeroelastic.N_MODES free dofs, both toy levels) the probe
+designs run as one stack: one model build, and one trim, stability and
+aileron pass whose arrays carry a leading design axis, each probe's rows
+bit-identical to its own evaluate.  A stack that raises counts all of its
+probes as run.  Larger models evaluate probe by probe.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .aero import FlowConditions
 from .aeroelastic import (
     N_STABILITY,
     StaticAeroelasticResult,
+    _modal,
     aileron_solve,
     dynamic_stability,
     static_aeroelastic,
@@ -146,11 +152,13 @@ def unpack_design(x, n_panels: int) -> list[PanelDesign]:
 
 
 def pad_critical(values, k: int) -> np.ndarray:
-    """The k largest values, largest first, padded with CRITICAL_PAD_SENTINEL to length k."""
+    """The k largest values along the last axis, largest first, padded with
+    CRITICAL_PAD_SENTINEL to length k."""
     values = np.asarray(values, dtype=float)
-    out = np.full(k, CRITICAL_PAD_SENTINEL)
-    top = values[np.argsort(-values, kind="stable")[:k]]
-    out[: top.size] = top
+    out = np.full(values.shape[:-1] + (k,), CRITICAL_PAD_SENTINEL)
+    order = np.argsort(-values, axis=-1, kind="stable")[..., :k]
+    top = np.take_along_axis(values, order, axis=-1)
+    out[..., : top.shape[-1]] = top
     return out
 
 
@@ -274,7 +282,8 @@ class WingAnalysis:
         """Static aeroelastic equilibrium of load case i_lc: u, alpha and total lift.
 
         Gravity is scaled by the load factor; with a load factor the rigid
-        incidence is trimmed to the lift target.
+        incidence is trimmed to the lift target.  A stacked model gives one
+        equilibrium per design.
         """
         lc = self.loadcases[i_lc]
         beam = model.beam
@@ -294,19 +303,27 @@ class WingAnalysis:
     def evaluate(self, x) -> ModelOutputs:
         panels = unpack_design(x, self.definition.n_panels)
         model = build_wing_model(self.definition, panels, self.fidelity)
-        lay = self.layout
-        mask = self._mask
-        c = np.full(lay.size, np.nan)
-        nonsmooth = np.zeros(lay.size, dtype=bool)
+        c, nonsmooth = self._physics(model)
+        c[self.layout.rows(-1, "feas")] = np.concatenate(
+            [feasibility_residuals(p.lp) for p in panels]
+        )
+        c[~self._mask] = np.nan
+        return ModelOutputs(
+            f=model.mass_with_fixed(), c=c, mask=self._mask, nonsmooth=nonsmooth
+        )
 
-        sl = lay.rows(-1, "feas")
-        c[sl] = np.concatenate([feasibility_residuals(p.lp) for p in panels])
+    def _physics(self, model: WingModel) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and flags of every load case of model, one set per design of a stack.
 
+        The design-only feasibility block and the rows the level does not
+        evaluate are left NaN.
+        """
+        shape = model.beam.stack + (self.layout.size,)
+        c = np.full(shape, np.nan)
+        nonsmooth = np.zeros(shape, dtype=bool)
         for i_lc, lc in enumerate(self.loadcases):
             self._loadcase(model, i_lc, lc, c, nonsmooth)
-
-        c[~mask] = np.nan
-        return ModelOutputs(f=model.mass_with_fixed(), c=c, mask=mask, nonsmooth=nonsmooth)
+        return c, nonsmooth
 
     def _loadcase(self, model: WingModel, i_lc, lc, c, nonsmooth):
         defn = self.definition
@@ -316,32 +333,34 @@ class WingAnalysis:
 
         if self._have("tw"):
             sec, bay = model.sections, model.structure.element_bay
-            strains = beam.element_mid_strains(res.u)[:, None, :]
-            s = wall_stresses(sec.strain_map[bay], sec.membrane[bay], sec.thickness[bay], strains)
+            strains = beam.element_mid_strains(res.u)[..., None, :]
+            s = wall_stresses(sec.strain_map[..., bay, :, :, :], sec.membrane[..., bay, :, :, :],
+                              sec.thickness[..., bay, :], strains)
             w = tsai_wu_factor((s[..., 0], s[..., 1], s[..., 2]), defn.material) - 1.0
-            w = w.ravel()  # element by element, walls in contour order
-            c[lay.rows(i_lc, "tw")] = np.concatenate(
-                [pad_critical(w[i], N_TSAI_WU) for i in model.structure.panel_stations]
+            w = w.reshape(w.shape[:-2] + (-1,))  # element by element, walls in contour order
+            c[..., lay.rows(i_lc, "tw")] = np.concatenate(
+                [pad_critical(w[..., i], N_TSAI_WU) for i in model.structure.panel_stations],
+                axis=-1,
             )
 
         if self._have("ds"):
             stab = dynamic_stability(beam, model.structure.aero(lc.flow), shapes=False)
             sl = lay.rows(i_lc, "ds")
-            c[sl] = pad_critical(np.real(stab.eigenvalues), N_STABILITY)
-            if stab.degenerate:
-                nonsmooth[sl] = True
+            c[..., sl] = pad_critical(np.real(stab.eigenvalues), N_STABILITY)
+            nonsmooth[..., sl] = np.asarray(stab.degenerate)[..., None]
 
         if self._have("ae"):
-            ail_ops = model.structure.aileron(lc.flow)
-            c[lay.rows(i_lc, "ae")] = lc.eta_min - aileron_solve(beam, ail_ops)
+            eta = aileron_solve(beam, model.structure.aileron(lc.flow))
+            c[..., lay.rows(i_lc, "ae")] = lc.eta_min - np.asarray(eta)[..., None]
 
         if self._have("AoA"):
             y_st = np.asarray(defn.aoa_stations) * defn.planform.semi_span
-            ry = np.interp(y_st, beam.nodes[:, 1], res.u[4::6])
-            a_loc = res.alpha + ry
-            sl = lay.rows(i_lc, "AoA")
-            pair = np.column_stack([lc.alpha_min - a_loc, a_loc - lc.alpha_max])
-            c[sl] = pair.ravel()
+            ry = np.apply_along_axis(
+                lambda r: np.interp(y_st, beam.nodes[:, 1], r), -1, res.u[..., 4::6]
+            )
+            a_loc = np.asarray(res.alpha)[..., None] + ry
+            pair = np.stack([lc.alpha_min - a_loc, a_loc - lc.alpha_max], axis=-1)
+            c[..., lay.rows(i_lc, "AoA")] = pair.reshape(pair.shape[:-2] + (-1,))
 
     # -- derivatives --------------------------------------------------------
 
@@ -360,9 +379,15 @@ class WingAnalysis:
     def gradients(self, x) -> GradientResult:
         """Closed-form mass and feasibility rows, central differences elsewhere.
 
-        A probe evaluate that raises ValueError or RuntimeError ends the
-        call; the exception then carries n_evaluates, the evaluates started
-        so far, the failing one included, so solve counters see them.
+        On a model with dense solves (at most N_MODES free dofs) every probe
+        design goes into one stack: one model build, one trim, stability
+        and aileron pass over the stack, each probe's rows bit-identical to
+        its own evaluate.  Larger models evaluate probe by probe.
+
+        A probe that raises ValueError or RuntimeError ends the call; the
+        exception then carries n_evaluates, the probe evaluations started:
+        the whole stack, or the evaluates so far with the failing one, so
+        solve counters see them.
         """
         x = np.asarray(x, dtype=float)
         lay = self.layout
@@ -371,29 +396,32 @@ class WingAnalysis:
         # unprobed columns hold what a probe would give: 0.0, NaN off the level
         grad_c = np.full((lay.size, x.size), np.nan)
         grad_c[self._mask] = 0.0
-        flags = np.zeros(lay.size, dtype=bool)
         lb, ub = self.bounds()
         probed = [VARS_PER_PANEL * p + k for p in range(n_panels) for k in PROBED_ENTRIES]
-        started = 0
-        try:
-            for i in probed:
-                h = FD_REL_STEP * (1.0 + abs(x[i]))
-                # probes stay inside the box; one-sided at a pinned bound
-                hp = max(0.0, min(h, ub[i] - x[i]))
-                hm = max(0.0, min(h, x[i] - lb[i]))
-                xp = x.copy()
-                xp[i] += hp
-                xm = x.copy()
-                xm[i] -= hm
-                started += 1
-                op = self.evaluate(xp)
-                started += 1
-                om = self.evaluate(xm)
-                grad_c[:, i] = (op.c - om.c) / (hp + hm)
-                flags |= op.nonsmooth | om.nonsmooth
-        except (ValueError, RuntimeError) as exc:
-            exc.n_evaluates = started
-            raise
+        h = FD_REL_STEP * (1.0 + np.abs(x[probed]))
+        # probes stay inside the box; one-sided at a pinned bound
+        hp = np.maximum(0.0, np.minimum(h, ub[probed] - x[probed]))
+        hm = np.maximum(0.0, np.minimum(h, x[probed] - lb[probed]))
+        xp = np.tile(x, (len(probed), 1))
+        xp[np.arange(len(probed)), probed] += hp
+        xm = np.tile(x, (len(probed), 1))
+        xm[np.arange(len(probed)), probed] -= hm
+
+        if _modal(wing_structure(self.definition, self.fidelity)):
+            cp, cm, flags = self._probe_by_probe(xp, xm)
+        else:
+            stack = np.concatenate([xp, xm])
+            try:
+                model = build_wing_model(
+                    self.definition, [unpack_design(xs, n_panels) for xs in stack], self.fidelity
+                )
+                c, nonsmooth = self._physics(model)
+            except (ValueError, RuntimeError) as exc:
+                exc.n_evaluates = len(stack)
+                raise
+            cp, cm = np.split(c, 2)
+            flags = np.any(nonsmooth, axis=0)
+        grad_c[:, probed] = ((cp - cm) / (hp + hm)[:, None]).T
 
         # exact rows for the design-only feasibility block
         sl = lay.rows(-1, "feas")
@@ -403,5 +431,23 @@ class WingAnalysis:
             c0 = VARS_PER_PANEL * p
             grad_c[r0 : r0 + N_FEASIBILITY, c0 : c0 + 8] = feasibility_gradient(pd.lp)
         return GradientResult(
-            grad_f=grad_f, grad_c=grad_c, nonsmooth=flags, n_evaluates=started
+            grad_f=grad_f, grad_c=grad_c, nonsmooth=flags, n_evaluates=2 * len(probed)
         )
+
+    def _probe_by_probe(self, xp, xm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows at the probe designs xp and xm, one evaluate each, and their OR-ed flags."""
+        cp, cm = np.empty((len(xp), self.layout.size)), np.empty((len(xm), self.layout.size))
+        flags = np.zeros(self.layout.size, dtype=bool)
+        started = 0
+        try:
+            for k in range(len(xp)):
+                started += 1
+                op = self.evaluate(xp[k])
+                started += 1
+                om = self.evaluate(xm[k])
+                cp[k], cm[k] = op.c, om.c
+                flags |= op.nonsmooth | om.nonsmooth
+        except (ValueError, RuntimeError) as exc:
+            exc.n_evaluates = started
+            raise
+        return cp, cm, flags

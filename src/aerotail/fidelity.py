@@ -21,7 +21,9 @@ indices, wall areas and the vortex lattice, then on first use the aero and
 aileron operators of every flow the analyses meet.  Built per design
 (`build_wing_model`): one condensed membrane per design panel, then every
 bay's C and M, the element matrices and the assembled K and M as batched
-array expressions.
+array expressions.  A stack of designs builds the same way in one pass:
+one section batch over every bay of every design, and one beam whose
+arrays carry a leading design axis.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .aero import AeroOperators, FlowConditions, Lattice, Planform, aero_operators, build_lattice
 from .aeroelastic import AileronDef, AileronOperators, aileron_operators
-from .beam import BeamModel, ElementGeometry, ElementSet, PointMass
+from .beam import BeamModel, ElementGeometry, ElementSet, PointMass, free_dofs
 from .laminate import MaterialProperties, PanelDesign
 from .section import (
     BOX_WALLS,
@@ -130,10 +132,12 @@ class WingStructure:
 
     Bay box geometry (wall tangents, lengths, enclosed areas, Gauss points),
     the (n_bays, 4) bay -> panel map in contour order, the per-bay knockdown
-    congruence, beam nodes, element geometry and assembly indices, point
-    masses, the wall-area table behind the mass thickness gradient, the
-    Tsai-Wu stations of every panel, and the vortex lattice.  Built once per
-    definition and level by `wing_structure`; `build` adds a design.
+    congruence, beam nodes and the free dofs of every model on them,
+    element geometry and assembly indices, point masses, the wall-area
+    table behind the mass thickness gradient, the Tsai-Wu stations of every
+    panel, and the vortex lattice.  Built once per
+    definition and level by `wing_structure`; `build` adds a design or a
+    stack of them.
 
     No design changes the nodes or the lattice, so the aero operators built
     from them at one flow serve every design: `aero` and `aileron` build
@@ -159,6 +163,7 @@ class WingStructure:
             self.knockdown[bays] = _knockdown(fid.torsion_knockdown)
 
         self.nodes = beam_nodes(defn, fid)
+        self.free = free_dofs(self.nodes.shape[0])
         self.lattice = wing_lattice(defn, fid)
         n_elem = self.nodes.shape[0] - 1
         self.elements = ElementGeometry.build(self.nodes, [(k, k + 1) for k in range(n_elem)])
@@ -179,8 +184,8 @@ class WingStructure:
         self.panel_stations = tuple(
             np.flatnonzero(station_panel == p) for p in range(defn.n_panels)
         )
-        for a in (self.bay_panel, self.knockdown, self.element_bay, self.bay_axis_length,
-                  self.thickness_gradient):
+        for a in (self.bay_panel, self.knockdown, self.free, self.element_bay,
+                  self.bay_axis_length, self.thickness_gradient):
             a.flags.writeable = False
         self._aero: dict[FlowConditions, AeroOperators] = {}
         self._aileron: dict[FlowConditions, AileronOperators] = {}
@@ -201,13 +206,21 @@ class WingStructure:
             )
         return ops
 
-    def build(self, panels: list[PanelDesign]) -> "WingModel":
-        """Sections of every bay and the assembled beam for one design."""
+    def build(self, designs: list[list[PanelDesign]], stacked: bool) -> "WingModel":
+        """Sections of every bay and the assembled beam for a list of designs.
+
+        designs holds one PanelDesign list per design.  Unstacked it holds
+        one design and builds that design's model; stacked, the model's
+        section and beam arrays carry a leading design axis.
+        """
         material = self.definition.material
-        membrane = np.array([condensed_membrane(p, material) for p in panels])
-        thickness = np.array([p.thickness for p in panels], dtype=float)
+        membrane = np.array([[condensed_membrane(p, material) for p in d] for d in designs])
+        thickness = np.array([[p.thickness for p in d] for d in designs], dtype=float)
+        if not stacked:
+            membrane, thickness = membrane[0], thickness[0]
         walls = self.bay_panel
-        sec = section_batch(self.contour, membrane[walls], thickness[walls], material.rho)
+        sec = section_batch(self.contour, membrane[..., walls, :, :], thickness[..., walls],
+                            material.rho)
         sec = dataclasses.replace(sec, C=sec.C * self.knockdown)
         beam = BeamModel(
             self.nodes,
@@ -219,9 +232,11 @@ class WingStructure:
 
 @dataclass
 class WingModel:
-    """One built fidelity instance of the wing for a specific design.
+    """One built fidelity instance of the wing for a specific design, or a stack.
 
-    sections holds the per-bay section arrays; C carries the knockdown.
+    sections holds the per-bay section arrays; C carries the knockdown.  A
+    stack's section and beam arrays carry a leading design axis; the mass
+    methods read one design.
     """
 
     beam: BeamModel
@@ -274,11 +289,14 @@ def wing_structure(defn: WingDefinition, fid: FidelityConfig) -> WingStructure:
     return structure
 
 
-def build_wing_model(
-    defn: WingDefinition, panels: list[PanelDesign], fid: FidelityConfig
-) -> WingModel:
-    """Assemble the beam for one design at one fidelity level."""
-    if len(panels) != defn.n_panels:
-        raise ValueError(f"expected {defn.n_panels} panel designs, got {len(panels)}")
-    return wing_structure(defn, fid).build(panels)
+def build_wing_model(defn: WingDefinition, panels, fid: FidelityConfig) -> WingModel:
+    """Assemble the beam for one design, or a stack of them, at one fidelity level.
 
+    panels is one PanelDesign per design panel, or a list of such lists.
+    """
+    stacked = bool(panels) and not isinstance(panels[0], PanelDesign)
+    designs = panels if stacked else [panels]
+    for d in designs:
+        if len(d) != defn.n_panels:
+            raise ValueError(f"expected {defn.n_panels} panel designs, got {len(d)}")
+    return wing_structure(defn, fid).build(designs, stacked)

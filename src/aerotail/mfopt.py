@@ -22,7 +22,8 @@ closed-form models.
 
 The report counts calls per level (n_*_evals, n_*_grads) and model solves
 (n_*_solves): evaluates plus the finite-difference probes of every gradient,
-those of a gradient call that raised included, and the wall time spent
+those of a gradient call that raised included (all of a probe stack that
+raised, the started ones of a probe-by-probe gradient), and the wall time spent
 inside each level's models (lf_seconds, hf_seconds).  The single-fidelity
 run counts everything against HF and reports 0 on LF.
 """

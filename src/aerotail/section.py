@@ -97,10 +97,10 @@ class ContourGeometry:
 
 
 def _wall_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 in wall order, starting from zero, as a running total."""
-    total = np.zeros(terms.shape[:1] + terms.shape[2:])
-    for j in range(terms.shape[1]):
-        total = total + terms[:, j]
+    """Sum over the last axis in wall order, starting from zero, as a running total."""
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total = total + terms[..., j]
     return total
 
 
@@ -148,9 +148,10 @@ def contour_geometry(p1, p2) -> ContourGeometry:
 class SectionBatch:
     """Per-design properties of a stack of sections.
 
-    C and M are (n, 6, 6); strain_map (n, walls, 2, 6) is the wall-midpoint
-    recovery map, membrane (n, walls, 2, 2) and thickness (n, walls) the
-    walls' condensed membranes and thicknesses.
+    C and M are (..., n, 6, 6); strain_map (..., n, walls, 2, 6) is the
+    wall-midpoint recovery map, membrane (..., n, walls, 2, 2) and thickness
+    (..., n, walls) the walls' condensed membranes and thicknesses.  The
+    leading axes are those of the membranes section_batch was given.
     """
 
     C: np.ndarray
@@ -163,32 +164,33 @@ class SectionBatch:
 def section_batch(geom: ContourGeometry, membrane, thickness, rho) -> SectionBatch:
     """Stiffness, inertia and recovery maps of every section in `geom`.
 
-    membrane (n, walls, 2, 2) and thickness (n, walls) describe the walls;
-    rho is their density, a scalar or per wall.  Contributions are summed
-    wall by wall and Gauss point by Gauss point in contour order.
+    membrane (..., n, walls, 2, 2) and thickness (..., n, walls) describe
+    the walls; leading axes, one per design of a stack, broadcast over the
+    geometry.  rho is their density, a scalar or per wall.  Contributions
+    are summed wall by wall and Gauss point by Gauss point in contour order.
     """
     membrane = np.asarray(membrane, dtype=float)
     thickness = np.asarray(thickness, dtype=float)
     shear = membrane[..., 1, 1]
     # Bredt flow per unit twist rate: q1 = 2 A / int(ds / A_ss)
     q1 = 2.0 * geom.enclosed_area / _wall_sum(geom.length / shear)
-    gt = q1[:, None] / shear
+    gt = q1[..., None] / shear
     tx, ty = geom.tangent[..., 0], geom.tangent[..., 1]
     b = _strain_map(
         geom.gauss[..., 0], geom.gauss[..., 1], tx[..., None], ty[..., None], gt[..., None]
     )
     c_terms = geom.weight[..., None, None] * (
-        b.swapaxes(-1, -2) @ membrane[:, :, None] @ b
+        b.swapaxes(-1, -2) @ membrane[..., None, :, :] @ b
     )
     rho_t = rho * thickness
     m_terms = (geom.weight * rho_t[..., None])[..., None, None] * geom.inertia
-    n_sec, n_wall, n_gauss = geom.weight.shape
-    c = np.zeros((n_sec, 6, 6))
-    m = np.zeros((n_sec, 6, 6))
+    n_wall, n_gauss = geom.weight.shape[1:]
+    c = np.zeros(c_terms.shape[:-4] + (6, 6))
+    m = np.zeros(m_terms.shape[:-4] + (6, 6))
     for j in range(n_wall):
         for g in range(n_gauss):
-            c += c_terms[:, j, g]
-            m += m_terms[:, j, g]
+            c += c_terms[..., j, g, :, :]
+            m += m_terms[..., j, g, :, :]
     return SectionBatch(
         C=0.5 * (c + c.swapaxes(-1, -2)),
         M=0.5 * (m + m.swapaxes(-1, -2)),

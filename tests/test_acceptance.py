@@ -482,21 +482,9 @@ def test_model_comparisons_reproduce_expected_patterns():
     assert time.perf_counter() - t0 < 300.0
 
 
-def test_constraint_layout_length_and_bit_determinism():
-    cfg = FidelityConfig(mesh_factor=1, lattice_nx=2, lattice_ny=6)
-    lc = LoadCase(V=60.0, rho=1.225, load_factor=1.0, eta_min=0.05)
-    lc2 = LoadCase(V=70.0, rho=1.0, load_factor=1.5, eta_min=0.05)
-    lc3 = LoadCase(V=50.0, rho=1.1, load_factor=1.0, eta_min=0.05)
-
-    defn_a = toy_wing(supported_mass=150.0)
-    x_a = pack_design(
-        [
-            PanelDesign(lp_from_stack(np.deg2rad([45, -45, 0, 90, 0, -45, 45])), 2.5e-3),
-            PanelDesign(lp_from_stack(np.deg2rad([45, -45, 45, -45])), 2.0e-3),
-        ]
-    )
-
-    defn_b = WingDefinition(
+def four_panel_wing():
+    """A dense wing with four design panels on two zones, its two load cases and a design."""
+    defn = WingDefinition(
         planform=Planform(semi_span=6.0, root_chord=1.4, tip_chord=0.7),
         n_bays=4,
         box_chord_frac=(0.2, 0.65),
@@ -512,7 +500,11 @@ def test_constraint_layout_length_and_bit_determinism():
         supported_mass=200.0,
         fixed_mass=8.0,
     )
-    x_b = pack_design(
+    loadcases = (
+        LoadCase(V=60.0, rho=1.225, load_factor=1.0, eta_min=0.05),
+        LoadCase(V=70.0, rho=1.0, load_factor=1.5, eta_min=0.05),
+    )
+    x = pack_design(
         [
             PanelDesign(lp_from_stack(np.deg2rad([45, -45, 0, 90])), 3.0e-3),
             PanelDesign(lp_from_stack(np.deg2rad([45, -45, 45, -45])), 2.6e-3),
@@ -520,6 +512,25 @@ def test_constraint_layout_length_and_bit_determinism():
             PanelDesign(lp_from_stack(np.deg2rad([30, -30, 0])), 2.4e-3),
         ]
     )
+    return defn, loadcases, x
+
+
+def test_constraint_layout_length_and_bit_determinism():
+    cfg = FidelityConfig(mesh_factor=1, lattice_nx=2, lattice_ny=6)
+    lc = LoadCase(V=60.0, rho=1.225, load_factor=1.0, eta_min=0.05)
+    lc2 = LoadCase(V=70.0, rho=1.0, load_factor=1.5, eta_min=0.05)
+    lc3 = LoadCase(V=50.0, rho=1.1, load_factor=1.0, eta_min=0.05)
+
+    defn_a = toy_wing(supported_mass=150.0)
+    x_a = pack_design(
+        [
+            PanelDesign(lp_from_stack(np.deg2rad([45, -45, 0, 90, 0, -45, 45])), 2.5e-3),
+            PanelDesign(lp_from_stack(np.deg2rad([45, -45, 45, -45])), 2.0e-3),
+        ]
+    )
+
+    defn_b, lcs_b, x_b = four_panel_wing()
+    assert lcs_b == (lc, lc2)
 
     defn_c = WingDefinition(
         planform=Planform(semi_span=6.0, root_chord=1.4, tip_chord=0.7),
@@ -538,7 +549,7 @@ def test_constraint_layout_length_and_bit_determinism():
 
     for defn, lcs, x in (
         (defn_a, [lc], x_a),
-        (defn_b, [lc, lc2], x_b),
+        (defn_b, lcs_b, x_b),
         (defn_c, [lc, lc2, lc3], x_c),
     ):
         ana = WingAnalysis(defn, lcs, cfg)

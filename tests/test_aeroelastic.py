@@ -26,7 +26,8 @@ from aerotail import beam as beam_module
 from aerotail.beam import BeamModel, ElementGeometry, ElementSet
 from aerotail.compare import mac
 from aerotail.config import load_config
-from aerotail.constraints import GRAVITY, pack_design
+from aerotail.constraints import GRAVITY, pack_design, unpack_design
+from aerotail.fidelity import build_wing_model
 from aerotail.laminate import PanelDesign, lp_from_stack
 from aerotail.section import _inertia_map
 
@@ -162,6 +163,38 @@ class TestDynamic:
             phi = modes.shapes[:, k]
             zeta_k = (phi @ c_s @ phi) / (2 * modes.omega[k])
             assert zeta_k == pytest.approx(0.005, rel=1e-9)
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_rayleigh_solves_no_mode_shapes(self, monkeypatch, level):
+        # the coefficients of the two lowest modal frequencies, without modal()
+        cfg, analyses = shipped("toy_two_panel.json")
+        x = cfg.initial_design()
+        ref = analyses[level].build_model(x).beam
+        a, b = aeroelastic._rayleigh_coefficients(ref.modal(2).omega)
+        beam = analyses[level].build_model(x).beam
+
+        def modal(self, n_modes):
+            raise AssertionError("rayleigh_damping solved for mode shapes")
+
+        monkeypatch.setattr(beam_module.BeamModel, "modal", modal)
+        assert np.array_equal(rayleigh_damping(beam), a * ref.mass() + b * ref.stiffness())
+
+    def test_damping_frequencies_solved_once_per_model(self, monkeypatch):
+        # every load case and speed of one dense model reuses the two frequencies
+        cfg, analyses = shipped("toy_two_panel.json")
+        model = analyses["LF"].build_model(cfg.initial_design())
+        ops = model.structure.aero(analyses["LF"].loadcases[0].flow)
+        calls = []
+
+        def eigh(*args, **kwargs):
+            calls.append(kwargs.get("subset_by_index"))
+            return scipy.linalg.eigh(*args, **kwargs)
+
+        monkeypatch.setattr(beam_module, "eigh", eigh)
+        first = dynamic_stability(model.beam, ops, shapes=False)
+        second = dynamic_stability(model.beam, ops, shapes=False)
+        assert calls == [[0, 1]]
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
     def test_flutter_bracketed_and_found(self):
         model = wing_beam(cg_aft=0.12, gj=1.2e4, ei2=1.7e5, ip=0.35)
@@ -537,6 +570,52 @@ class TestStructuredSolves:
         for x in designs:
             analysis.evaluate(x)
         assert factors == ["band"] * len(designs)
+
+
+class TestDesignStack:
+    """A model of a stack of designs gives each design's own results, bit for bit."""
+
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_stacked_solves_equal_single_design_solves(self, level):
+        cfg, analyses = shipped("toy_two_panel.json")
+        analysis = analyses[level]
+        xs = [cfg.initial_design(), seeded_design(cfg, 1), seeded_design(cfg, 2)]
+        n_panels = cfg.definition.n_panels
+        stack = build_wing_model(
+            cfg.definition, [unpack_design(x, n_panels) for x in xs], analysis.fidelity
+        )
+        singles = [analysis.build_model(x) for x in xs]
+        assert stack.beam.stack == (3,)
+        assert singles[0].beam.stack == ()
+        lc = analysis.loadcases[0]
+        ops, ail = stack.structure.aero(lc.flow), stack.structure.aileron(lc.flow)
+        res = analysis.trim(stack, 0)
+        stab = dynamic_stability(stack.beam, ops, shapes=False)
+        eta = aileron_solve(stack.beam, ail)
+        damping = rayleigh_damping(stack.beam)
+        for i, model in enumerate(singles):
+            one = analysis.trim(model, 0)
+            assert np.array_equal(res.u[i], one.u)
+            assert res.alpha[i] == one.alpha and res.total_lift[i] == one.total_lift
+            assert np.array_equal(stack.beam.stiffness()[i], model.beam.stiffness())
+            assert np.array_equal(stack.beam.mass()[i], model.beam.mass())
+            assert stack.beam.total_mass()[i] == model.beam.total_mass()
+            assert np.array_equal(damping[i], rayleigh_damping(model.beam))
+            single = dynamic_stability(model.beam, ops, shapes=False)
+            assert np.array_equal(stab.eigenvalues[i], single.eigenvalues)
+            assert stab.degenerate[i] == single.degenerate
+            assert eta[i] == aileron_solve(model.beam, ail)
+
+    def test_missed_equilibrium_raises_on_a_stack(self, monkeypatch):
+        cfg, analyses = shipped("toy_two_panel.json")
+        analysis = analyses["LF"]
+        x = cfg.initial_design()
+        stack = build_wing_model(cfg.definition, [unpack_design(x, 2)] * 2, analysis.fidelity)
+        monkeypatch.setattr(aeroelastic, "_TRIM_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="equilibrium"):
+            analysis.trim(stack, 0)
+        with pytest.raises(RuntimeError, match="equilibrium"):
+            aileron_solve(stack.beam, stack.structure.aileron(analysis.loadcases[0].flow))
 
 
 class TestResidualChecks:

@@ -14,6 +14,7 @@ from aerotail.constraints import (
     FD_REL_STEP,
     N_FEASIBILITY,
     PROBED_ENTRIES,
+    T_BOUNDS,
     VARS_PER_PANEL,
     ConstraintLayout,
     LoadCase,
@@ -22,7 +23,7 @@ from aerotail.constraints import (
     pad_critical,
     unpack_design,
 )
-from aerotail.fidelity import FidelityConfig, WingDefinition
+from aerotail.fidelity import FidelityConfig, WingDefinition, build_wing_model
 from aerotail.laminate import (
     PanelDesign,
     feasibility_gradient,
@@ -31,6 +32,7 @@ from aerotail.laminate import (
 )
 
 from oracles import constraint_length, trim_load
+from test_acceptance import four_panel_wing
 from test_aeroelastic import seeded_design, shipped
 from test_fidelity import CFRP, small_definition, small_panels
 
@@ -353,15 +355,44 @@ class TestStructuralZeros:
 
     @pytest.mark.parametrize("level", ["LF", "HF"])
     def test_gradients_equal_full_probe_reference(self, level):
+        # dense models: the probes run as one stack, the reference evaluates each
         cfg, analyses = shipped("toy_two_panel.json")
         ana = analyses[level]
-        for x in (cfg.initial_design(), seeded_design(cfg, 1)):
-            grad = ana.gradients(x)
-            ref_c, ref_flags = full_probe_gradients(ana, x)
+        pinned = cfg.initial_design()
+        pinned[VARS_PER_PANEL - 1] = T_BOUNDS[1]  # one-sided thickness probe
+        defn_b, lcs_b, x_b = four_panel_wing()
+        ana_b = WingAnalysis(defn_b, lcs_b, LF_CFG, level=level)
+        cases = [(ana, x) for x in (cfg.initial_design(), seeded_design(cfg, 1), pinned)]
+        for a, x in cases + [(ana_b, x_b)]:
+            grad = a.gradients(x)
+            ref_c, ref_flags = full_probe_gradients(a, x)
             assert np.array_equal(grad.grad_c, ref_c, equal_nan=True)
             assert np.array_equal(grad.nonsmooth, ref_flags)
-            assert np.array_equal(grad.grad_f, ana.mass_gradient(x))
-            assert grad.n_evaluates == 2 * len(PROBED_ENTRIES) * 2  # two panels
+            assert np.array_equal(grad.grad_f, a.mass_gradient(x))
+            assert grad.n_evaluates == 2 * len(PROBED_ENTRIES) * a.definition.n_panels
+
+
+class TestProbeStack:
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_dense_gradient_builds_one_model(self, level, monkeypatch):
+        cfg, analyses = shipped("toy_two_panel.json")
+        ana = analyses[level]
+        x = cfg.initial_design()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_wing_model(*args, **kwargs)
+
+        # every module of the package that binds the name
+        for module in vars(aerotail).values():
+            if getattr(module, "build_wing_model", None) is build_wing_model:
+                monkeypatch.setattr(module, "build_wing_model", counted)
+        grad = ana.gradients(x)
+        assert len(calls) == 1  # the 20 probe designs build as one stack
+        assert grad.n_evaluates == 20
+        ana.evaluate(x)  # an evaluate is counted
+        assert len(calls) == 2
 
 
 class TestNoBeamBuckling:

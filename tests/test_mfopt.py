@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 import aerotail
-from aerotail import mfopt
+from aerotail import aeroelastic, mfopt
 from aerotail.config import load_config
 from aerotail.mfopt import (
     build_correction,
@@ -20,6 +20,7 @@ from oracles import AnalyticModel, quadratic_benchmark_pair
 
 
 TOY = os.path.join(os.path.dirname(aerotail.__file__), "data", "toy_two_panel.json")
+WING = os.path.join(os.path.dirname(aerotail.__file__), "data", "wing_default.json")
 
 
 def merit_of(entry, weight=100.0):
@@ -240,7 +241,8 @@ class TestLoop:
 class TestSolveCounters:
     @pytest.mark.parametrize("k", [1, 2, 9])
     def test_gradient_that_raises_counts_the_evaluates_it_started(self, k):
-        cfg = load_config(TOY)
+        # wing_default has more than N_MODES free dofs, so it probes one evaluate at a time
+        cfg = load_config(WING)
         lf, _ = cfg.analyses()
         real = lf.evaluate
         started = []
@@ -255,6 +257,17 @@ class TestSolveCounters:
         counting = mfopt._Counting(lf)
         assert mfopt._attempt(counting.gradients, cfg.initial_design()) is None
         assert (counting.grads, counting.evals, counting.solves) == (1, 0, k)
+
+    def test_probe_stack_that_raises_counts_every_probe(self, monkeypatch):
+        # the toy's 20 probes run as one stack; every design misses equilibrium
+        cfg = load_config(TOY)
+        lf, _ = cfg.analyses()
+        monkeypatch.setattr(aeroelastic, "_TRIM_TOL", 0.0)
+        with pytest.raises(RuntimeError, match="equilibrium"):
+            lf.gradients(cfg.initial_design())
+        counting = mfopt._Counting(lf)
+        assert mfopt._attempt(counting.gradients, cfg.initial_design()) is None
+        assert (counting.grads, counting.evals, counting.solves) == (1, 0, 20)
 
 
 class TestSubproblem:
