@@ -256,9 +256,6 @@ class ElementSet:
     M: np.ndarray
     section: np.ndarray
 
-    def __len__(self) -> int:
-        return int(self.section.size)
-
 
 @dataclass(frozen=True)
 class PointMass:

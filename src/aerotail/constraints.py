@@ -32,13 +32,16 @@ t), falling back to one-sided probes at the box bounds so the model is
 never evaluated outside its domain.  The model reads a panel only through
 its membrane stiffness and thickness, so the xiD columns of those rows are
 exactly 0.0 on available rows and NaN elsewhere, which is what probing them
-would give.  Near-coincident eigenvalues are reported through per-entry
-non-smoothness flags so the optimizer can react.  On models with dense
-solves (at most aeroelastic.N_MODES free dofs, both toy levels) the probe
-designs run as one stack: one model build, and one trim, stability and
-aileron pass whose arrays carry a leading design axis, each probe's rows
-bit-identical to its own evaluate.  A stack that raises counts all of its
-probes as run.  Larger models evaluate probe by probe.
+would give.  Near-coincident eigenvalues are flagged per row by evaluate
+(ModelOutputs.nonsmooth); gradients carries no flags.
+
+Every probe design runs through one model build and `_physics`, in
+batches: on models with dense solves (at most aeroelastic.N_MODES free
+dofs, both toy levels) all probes form one stack, whose arrays carry a
+leading design axis through the trim, stability and aileron pass; larger
+models run one design per batch.  Each probe's rows are bit-identical to
+its own evaluate.  A batch that raises ends the call, and the exception
+carries n_evaluates: the probe designs whose build had started.
 """
 
 from __future__ import annotations
@@ -219,7 +222,6 @@ class ModelOutputs:
 class GradientResult:
     grad_f: np.ndarray
     grad_c: np.ndarray  # (n_constraints, n_variables), NaN on unavailable rows
-    nonsmooth: np.ndarray  # rows flagged at any probe that ran
     n_evaluates: int = 0  # model evaluations run for this gradient; 0 when closed form
 
 
@@ -379,15 +381,13 @@ class WingAnalysis:
     def gradients(self, x) -> GradientResult:
         """Closed-form mass and feasibility rows, central differences elsewhere.
 
-        On a model with dense solves (at most N_MODES free dofs) every probe
-        design goes into one stack: one model build, one trim, stability
-        and aileron pass over the stack, each probe's rows bit-identical to
-        its own evaluate.  Larger models evaluate probe by probe.
+        The probe designs run through `_physics` as one stack on a model
+        with dense solves (at most N_MODES free dofs), one design at a time
+        otherwise; each probe's rows are bit-identical to its own evaluate.
 
-        A probe that raises ValueError or RuntimeError ends the call; the
-        exception then carries n_evaluates, the probe evaluations started:
-        the whole stack, or the evaluates so far with the failing one, so
-        solve counters see them.
+        A batch that raises ValueError or RuntimeError ends the call; the
+        exception then carries n_evaluates, the probe designs whose build
+        had started, so solve counters see them.
         """
         x = np.asarray(x, dtype=float)
         lay = self.layout
@@ -407,20 +407,21 @@ class WingAnalysis:
         xm = np.tile(x, (len(probed), 1))
         xm[np.arange(len(probed)), probed] -= hm
 
+        designs = [unpack_design(xs, n_panels) for xs in np.concatenate([xp, xm])]
         if _modal(wing_structure(self.definition, self.fidelity)):
-            cp, cm, flags = self._probe_by_probe(xp, xm)
+            batches = [(1, d) for d in designs]
         else:
-            stack = np.concatenate([xp, xm])
-            try:
-                model = build_wing_model(
-                    self.definition, [unpack_design(xs, n_panels) for xs in stack], self.fidelity
-                )
-                c, nonsmooth = self._physics(model)
-            except (ValueError, RuntimeError) as exc:
-                exc.n_evaluates = len(stack)
-                raise
-            cp, cm = np.split(c, 2)
-            flags = np.any(nonsmooth, axis=0)
+            batches = [(len(designs), designs)]
+        rows, started = [], 0
+        try:
+            for n, panels in batches:
+                started += n
+                c, _ = self._physics(build_wing_model(self.definition, panels, self.fidelity))
+                rows.append(c.reshape(n, lay.size))
+        except (ValueError, RuntimeError) as exc:
+            exc.n_evaluates = started
+            raise
+        cp, cm = np.split(np.concatenate(rows), 2)
         grad_c[:, probed] = ((cp - cm) / (hp + hm)[:, None]).T
 
         # exact rows for the design-only feasibility block
@@ -430,24 +431,4 @@ class WingAnalysis:
             r0 = sl.start + N_FEASIBILITY * p
             c0 = VARS_PER_PANEL * p
             grad_c[r0 : r0 + N_FEASIBILITY, c0 : c0 + 8] = feasibility_gradient(pd.lp)
-        return GradientResult(
-            grad_f=grad_f, grad_c=grad_c, nonsmooth=flags, n_evaluates=2 * len(probed)
-        )
-
-    def _probe_by_probe(self, xp, xm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows at the probe designs xp and xm, one evaluate each, and their OR-ed flags."""
-        cp, cm = np.empty((len(xp), self.layout.size)), np.empty((len(xm), self.layout.size))
-        flags = np.zeros(self.layout.size, dtype=bool)
-        started = 0
-        try:
-            for k in range(len(xp)):
-                started += 1
-                op = self.evaluate(xp[k])
-                started += 1
-                om = self.evaluate(xm[k])
-                cp[k], cm[k] = op.c, om.c
-                flags |= op.nonsmooth | om.nonsmooth
-        except (ValueError, RuntimeError) as exc:
-            exc.n_evaluates = started
-            raise
-        return cp, cm, flags
+        return GradientResult(grad_f=grad_f, grad_c=grad_c, n_evaluates=len(designs))

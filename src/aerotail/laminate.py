@@ -36,7 +36,7 @@ __all__ = [
 class MaterialProperties:
     """Orthotropic ply material with in-plane strengths.
 
-    Moduli in Pa, density in kg/m^3, ply thickness in m. Strengths are
+    Moduli in Pa, density in kg/m^3. Strengths are
     magnitudes (all positive): Xt/Xc fiber direction tension/compression,
     Yt/Yc transverse, S in-plane shear.
     """
@@ -51,7 +51,6 @@ class MaterialProperties:
     Yt: float
     Yc: float
     S: float
-    ply_thickness: float = 1.25e-4
 
     def __post_init__(self):
         if min(self.E1, self.E2, self.G12) <= 0.0:
@@ -62,8 +61,8 @@ class MaterialProperties:
             raise ValueError("nu12*nu21 must be < 1")
         if min(self.Xt, self.Xc, self.Yt, self.Yc, self.S) <= 0.0:
             raise ValueError("strengths must be positive")
-        if self.rho <= 0.0 or self.ply_thickness <= 0.0:
-            raise ValueError("rho and ply_thickness must be positive")
+        if self.rho <= 0.0:
+            raise ValueError("rho must be positive")
 
     @property
     def nu21(self) -> float:

@@ -21,9 +21,9 @@ GradientResult, and bounds(); WingAnalysis instances qualify, and so do
 closed-form models.
 
 The report counts calls per level (n_*_evals, n_*_grads) and model solves
-(n_*_solves): evaluates plus the finite-difference probes of every gradient,
-those of a gradient call that raised included (all of a probe stack that
-raised, the started ones of a probe-by-probe gradient), and the wall time spent
+(n_*_solves): one per evaluate plus each gradient's n_evaluates, its
+finite-difference probe designs; a gradient call that raised counts the
+probe designs whose build had started.  It also sums the wall time spent
 inside each level's models (lf_seconds, hf_seconds).  The single-fidelity
 run counts everything against HF and reports 0 on LF.
 """
@@ -178,8 +178,8 @@ def _checked_correction(
 class _Counting:
     """Per-model call counter; identical model objects share one counter.
 
-    solves counts model evaluations: every evaluate that reaches the model
-    plus the n_evaluates of every gradient, read from the result or, when
+    solves counts model evaluations: one per evaluate that reaches the
+    model, plus each gradient's n_evaluates, read from the result or, when
     the gradient call raises, from the exception (0 when it carries none).
     seconds sums the wall time spent inside the model's evaluate and
     gradients, raising calls included.
@@ -237,7 +237,6 @@ def _poisoned_gradients(t: GradientResult) -> GradientResult:
     return GradientResult(
         grad_f=np.zeros_like(t.grad_f),
         grad_c=np.zeros_like(t.grad_c),
-        nonsmooth=np.zeros_like(t.nonsmooth),
     )
 
 

@@ -4,8 +4,9 @@ Nothing in the package calls these: handbook sections, straight
 cantilevers, the per-panel vortex-lattice influence and coupling loops, the
 rigid steady vortex-lattice solve, the static divergence
 eigenproblem, the total nodal load of a trimmed state, the largest
-constraint violation of an evaluate, the constraint-vector length formula
-and a closed-form LF/HF model pair for the optimizer.
+constraint violation of an evaluate, the constraint-vector length formula,
+the probe designs of a finite-difference gradient and a closed-form LF/HF
+model pair for the optimizer.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ from aerotail.aero import (
 from aerotail.aeroelastic import N_STABILITY
 from aerotail.beam import BeamModel, ElementGeometry, ElementSet, PointMass
 from aerotail.constraints import (
+    FD_REL_STEP,
     GRAVITY,
     N_FEASIBILITY,
     N_TSAI_WU,
+    PROBED_ENTRIES,
+    VARS_PER_PANEL,
     GradientResult,
     ModelOutputs,
 )
@@ -256,6 +260,23 @@ def constraint_length(n_lc: int, n_panels: int, n_stations: int) -> int:
     return n_lc * per_lc + N_FEASIBILITY * n_panels
 
 
+def probe_designs(analysis, x) -> list[np.ndarray]:
+    """The designs analysis.gradients probes at x: each PROBED_ENTRIES entry
+    of every panel stepped up and down by FD_REL_STEP * (1 + |x_i|), the
+    step cut at the box bounds."""
+    lb, ub = analysis.bounds()
+    out = []
+    for p in range(analysis.definition.n_panels):
+        for k in PROBED_ENTRIES:
+            i = VARS_PER_PANEL * p + k
+            h = FD_REL_STEP * (1.0 + abs(x[i]))
+            xp, xm = x.copy(), x.copy()
+            xp[i] += max(0.0, min(h, ub[i] - x[i]))
+            xm[i] -= max(0.0, min(h, x[i] - lb[i]))
+            out += [xp, xm]
+    return out
+
+
 # -- analytic benchmark ------------------------------------------------------
 
 
@@ -294,7 +315,6 @@ class AnalyticModel:
         return GradientResult(
             grad_f=np.asarray(self._grad(x), dtype=float),
             grad_c=gc,
-            nonsmooth=np.zeros(gc.shape[0], dtype=bool),
         )
 
 

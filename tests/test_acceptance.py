@@ -54,6 +54,7 @@ from oracles import (
     divergence_factor,
     max_violation,
     panel_areas,
+    probe_designs,
     prescribed_section,
     quadratic_benchmark_pair,
     steady_solve,
@@ -367,7 +368,9 @@ def test_constraint_gradients_match_central_differences():
             fd_f[i] = (op.f - om.f) / (2.0 * h)
 
         assert np.max(np.abs(gr.grad_f - fd_f) / (1.0 + np.abs(fd_f))) <= 1e-7
-        live = out.mask & ~gr.nonsmooth
+        # rows near coincident eigenvalues at any probe carry one-sided information
+        flagged = np.any([lf.evaluate(xs).nonsmooth for xs in probe_designs(lf, x)], axis=0)
+        live = out.mask & ~flagged
         diff = np.abs(gr.grad_c - fd) / (
             1.0 + np.maximum(np.abs(gr.grad_c), np.abs(fd))
         )

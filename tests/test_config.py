@@ -71,7 +71,7 @@ class TestShippedConfigs:
         x0 = cfg.initial_design()
         m_lf = lf.build_model(x0)
         m_hf = hf.build_model(x0)
-        assert 2 * len(m_lf.beam.elements) == len(m_hf.beam.elements)
+        assert 2 * m_lf.beam.elements.section.size == m_hf.beam.elements.section.size
 
 
 class TestConventions:

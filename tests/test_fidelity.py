@@ -91,13 +91,13 @@ class TestGeometry:
         defn = small_definition()
         m1 = build_wing_model(defn, small_panels(), FidelityConfig(mesh_factor=1))
         m3 = build_wing_model(defn, small_panels(), FidelityConfig(mesh_factor=3))
-        assert len(m1.beam.elements) == 3 and m1.beam.n_nodes == 4
-        assert len(m3.beam.elements) == 9 and m3.beam.n_nodes == 10
+        assert m1.beam.elements.section.size == 3 and m1.beam.n_nodes == 4
+        assert m3.beam.elements.section.size == 9 and m3.beam.n_nodes == 10
 
     def test_default_span_discretization(self):
         defn = small_definition(n_bays=29)
         model = build_wing_model(defn, small_panels(), FidelityConfig())
-        assert len(model.beam.elements) == 29
+        assert model.beam.elements.section.size == 29
         assert model.beam.n_nodes == 30
 
     def test_nodes_on_elastic_axis(self):

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 import aerotail
-from aerotail import aeroelastic, mfopt
+from aerotail import aeroelastic, constraints, mfopt
 from aerotail.config import load_config
 from aerotail.mfopt import (
     build_correction,
@@ -240,20 +240,20 @@ class TestLoop:
 
 class TestSolveCounters:
     @pytest.mark.parametrize("k", [1, 2, 9])
-    def test_gradient_that_raises_counts_the_evaluates_it_started(self, k):
-        # wing_default has more than N_MODES free dofs, so it probes one evaluate at a time
+    def test_gradient_that_raises_counts_the_evaluates_it_started(self, k, monkeypatch):
+        # wing_default has more than N_MODES free dofs, so it builds one probe design at a time
         cfg = load_config(WING)
         lf, _ = cfg.analyses()
-        real = lf.evaluate
+        real = constraints.build_wing_model
         started = []
 
-        def evaluate(x):
-            started.append(x)
+        def build(*args):
+            started.append(args)
             if len(started) == k:
                 raise RuntimeError("probe failed")
-            return real(x)
+            return real(*args)
 
-        lf.evaluate = evaluate  # the k-th probe of the gradient raises
+        monkeypatch.setattr(constraints, "build_wing_model", build)  # the k-th probe raises
         counting = mfopt._Counting(lf)
         assert mfopt._attempt(counting.gradients, cfg.initial_design()) is None
         assert (counting.grads, counting.evals, counting.solves) == (1, 0, k)
