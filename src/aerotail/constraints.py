@@ -159,8 +159,8 @@ def pad_critical(values, k: int) -> np.ndarray:
     CRITICAL_PAD_SENTINEL to length k."""
     values = np.asarray(values, dtype=float)
     out = np.full(values.shape[:-1] + (k,), CRITICAL_PAD_SENTINEL)
-    order = np.argsort(-values, axis=-1, kind="stable")[..., :k]
-    top = np.take_along_axis(values, order, axis=-1)
+    # a stable sort keeps equal values, +0.0 and -0.0 among them, in input order
+    top = -np.sort(-values, axis=-1, kind="stable")[..., :k]
     out[..., : top.shape[-1]] = top
     return out
 
@@ -357,8 +357,10 @@ class WingAnalysis:
 
         if self._have("AoA"):
             y_st = np.asarray(defn.aoa_stations) * defn.planform.semi_span
-            ry = np.apply_along_axis(
-                lambda r: np.interp(y_st, beam.nodes[:, 1], r), -1, res.u[..., 4::6]
+            twist = res.u[..., 4::6]
+            ry = np.reshape(
+                [np.interp(y_st, beam.nodes[:, 1], r) for r in twist.reshape(-1, twist.shape[-1])],
+                twist.shape[:-1] + y_st.shape,
             )
             a_loc = np.asarray(res.alpha)[..., None] + ry
             pair = np.stack([lc.alpha_min - a_loc, a_loc - lc.alpha_max], axis=-1)

@@ -11,10 +11,16 @@ evaluate at HF, pass through uncorrected.  A row only the HF model provides
 has no LF model to correct; `partition_rows` rejects it with ValueError.
 
 Merit function: f + weight * max(0, worst violation).  Ratio test with
-eta1 = 0.1 and eta2 = 0.75; the radius halves on rejection, doubles (up to
-DELTA_MAX) after strong steps that hit the trust-region boundary.  A failed
-or infeasible subproblem falls back to a violation-minimizing restoration
-step, which is flagged in the report.
+eta1 = 0.1 and eta2 = 0.75 (Conn, Gould & Toint, Trust-Region Methods,
+2000), one rejection rule for every candidate: a candidate is accepted when
+rho >= eta1, its HF merit fell and its HF gradient can be computed, and
+rejected otherwise.  A candidate whose physics failed at either level is
+such a rejection, traced with rho = -inf and a NaN f_hf and violation, and
+costs no HF gradient call.  The radius halves when rho < eta1 or that HF
+gradient failed, doubles (up to DELTA_MAX) after strong steps that hit the
+trust-region boundary, and stays otherwise.  A failed or infeasible
+subproblem falls back to a violation-minimizing restoration step, which is
+flagged in the report.
 
 Models are anything with evaluate(x) -> ModelOutputs, gradients(x) ->
 GradientResult, and bounds(); WingAnalysis instances qualify, and so do
@@ -449,27 +455,6 @@ def trmm_optimize(
 
     hf_out = hf_count.evaluate(x0)
     nonsmooth = int(np.any(hf_out.nonsmooth))
-
-    def report(xc, out_c, viol, trace, iters, term, restos, nonsm):
-        return OptimizerReport(
-            x_best=xc,
-            f_best=out_c.f,
-            violation_best=viol,
-            trace=trace,
-            iterations=iters,
-            n_hf_evals=hf_count.evals,
-            n_hf_grads=hf_count.grads,
-            n_lf_evals=0 if lf_count is hf_count else lf_count.evals,
-            n_lf_grads=0 if lf_count is hf_count else lf_count.grads,
-            n_hf_solves=hf_count.solves,
-            n_lf_solves=0 if lf_count is hf_count else lf_count.solves,
-            hf_seconds=hf_count.seconds,
-            lf_seconds=0.0 if lf_count is hf_count else lf_count.seconds,
-            termination=term,
-            restorations=restos,
-            nonsmooth_encounters=nonsm,
-        )
-
     lf_out = lf_cached.evaluate(x0)
     both, lf_only = partition_rows(lf_out.mask, hf_out.mask)
 
@@ -478,19 +463,16 @@ def trmm_optimize(
         v = max(_violation(_clip(c), both), _violation(_clip(c_lf), lf_only))
         return f + MERIT_WEIGHT * v, v
 
-    m0, v0 = merit(hf_out.f, hf_out.c, lf_out.c)
-    trace = [TraceEntry(x=x0.copy(), f_hf=hf_out.f, violation=v0, delta=DELTA_INIT,
+    m_center, v_center = merit(hf_out.f, hf_out.c, lf_out.c)
+    trace = [TraceEntry(x=x0.copy(), f_hf=hf_out.f, violation=v_center, delta=DELTA_INIT,
                         rho=np.nan, accepted=True)]
-    if budget <= 1:
-        return report(x0, hf_out, v0, trace, 0, "budget", 0, nonsmooth)
-
     xc = x0.copy()
+    hf_center, lf_center = hf_out, lf_out
     delta = DELTA_INIT
     restorations = 0
-    hf_grad = hf_count.gradients(xc)
-    corr = _checked_correction(xc, lf_out, hf_out, lf_cached.gradients(xc), hf_grad)
-    m_center, v_center = m0, v0
-    hf_center, lf_center = hf_out, lf_out
+    if budget > 1:
+        hf_grad = hf_count.gradients(xc)
+        corr = _checked_correction(xc, lf_out, hf_out, lf_cached.gradients(xc), hf_grad)
 
     term = "max_iter"
     it = 0
@@ -512,24 +494,18 @@ def trmm_optimize(
         hf_cand = None if lf_cand.failed else _attempt(hf_count.evaluate, cand)
         if hf_cand is None:
             # the physics failed at the candidate on either level: reject it
-            delta = SHRINK * delta
-            trace.append(TraceEntry(x=cand, f_hf=np.nan, violation=np.nan,
-                                    delta=delta, rho=-np.inf, accepted=False,
-                                    restoration=restored, slsqp_status=sub.status,
-                                    candidate_violation=sub.violation))
-            if delta < DELTA_MIN:
-                term = "delta_min"
-                break
-            continue
-
-        # model merit at the candidate (corrected LF)
-        m_model_cand, _ = merit(corr.corrected_f(lf_cand.f, cand),
-                                corr.corrected_c(lf_cand.c, cand), lf_cand.c)
-        predicted = m_center - m_model_cand
-        nonsmooth += int(np.any(hf_cand.nonsmooth))
-        m_cand, v_cand = merit(hf_cand.f, hf_cand.c, lf_cand.c)
-        actual = m_center - m_cand
-        rho = actual / predicted if predicted > 1e-16 else (-1.0 if actual <= 0 else 1.0)
+            f_cand = m_cand = v_cand = actual = np.nan
+            rho = -np.inf
+        else:
+            # model merit at the candidate (corrected LF)
+            m_model_cand, _ = merit(corr.corrected_f(lf_cand.f, cand),
+                                    corr.corrected_c(lf_cand.c, cand), lf_cand.c)
+            predicted = m_center - m_model_cand
+            nonsmooth += int(np.any(hf_cand.nonsmooth))
+            f_cand = hf_cand.f
+            m_cand, v_cand = merit(f_cand, hf_cand.c, lf_cand.c)
+            actual = m_center - m_cand
+            rho = actual / predicted if predicted > 1e-16 else (-1.0 if actual <= 0 else 1.0)
 
         accept = rho >= ETA_ACCEPT and actual > 0
         grad_failed = False
@@ -548,7 +524,7 @@ def trmm_optimize(
             delta = SHRINK * delta
         elif rho > ETA_EXPAND and on_boundary:
             delta = min(EXPAND * delta, DELTA_MAX)
-        trace.append(TraceEntry(x=cand, f_hf=hf_cand.f, violation=v_cand,
+        trace.append(TraceEntry(x=cand, f_hf=f_cand, violation=v_cand,
                                 delta=delta, rho=float(rho), accepted=accept,
                                 restoration=restored, slsqp_status=sub.status,
                                 candidate_violation=sub.violation))
@@ -560,4 +536,22 @@ def trmm_optimize(
             term = "delta_min"
             break
 
-    return report(xc, hf_center, v_center, trace, it, term, restorations, nonsmooth)
+    sf = lf_count is hf_count  # single fidelity: LF counts stay 0
+    return OptimizerReport(
+        x_best=xc,
+        f_best=hf_center.f,
+        violation_best=v_center,
+        trace=trace,
+        iterations=it,
+        n_hf_evals=hf_count.evals,
+        n_hf_grads=hf_count.grads,
+        n_lf_evals=0 if sf else lf_count.evals,
+        n_lf_grads=0 if sf else lf_count.grads,
+        n_hf_solves=hf_count.solves,
+        n_lf_solves=0 if sf else lf_count.solves,
+        hf_seconds=hf_count.seconds,
+        lf_seconds=0.0 if sf else lf_count.seconds,
+        termination=term,
+        restorations=restorations,
+        nonsmooth_encounters=nonsmooth,
+    )

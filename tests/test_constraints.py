@@ -456,3 +456,21 @@ class TestPadCritical:
     def test_empty_is_all_padding(self):
         out = pad_critical([], 3)
         assert out.shape == (3,) and np.all(out == CRITICAL_PAD_SENTINEL)
+
+    @staticmethod
+    def stable_reference(values, k):
+        values = np.asarray(values, dtype=float)
+        order = np.argsort(-values, kind="stable")[:k]
+        return values[order]
+
+    def test_signed_zero_ties_keep_input_order(self):
+        vals = [-0.5, 0.0, -0.0] * 10
+        assert pad_critical(vals, 8).tobytes() == self.stable_reference(vals, 8).tobytes()
+
+    def test_stack_row_by_row(self):
+        rng = np.random.default_rng(2)
+        stack = rng.choice([-0.5, 0.0, -0.0, 0.25], size=(6, 30))
+        out = pad_critical(stack, 8)
+        assert out.shape == (6, 8)
+        for row, got in zip(stack, out):
+            assert got.tobytes() == self.stable_reference(row, 8).tobytes()

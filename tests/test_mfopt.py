@@ -231,11 +231,36 @@ class TestLoop:
         rep = trmm_optimize(lf0, Fragile(), x0, budget=60, max_iter=25)
         failed = [e for e in rep.trace if np.isnan(e.f_hf)]
         assert failed and not any(e.accepted for e in failed)
+        assert all(e.rho == -np.inf and np.isnan(e.violation) for e in failed)
         assert rep.x_best[0] <= 0.5
         # radius shrank after each failed attempt
         for e_prev, e in zip(rep.trace, rep.trace[1:]):
             if np.isnan(e.f_hf):
                 assert e.delta < e_prev.delta
+
+    def test_hf_gradient_failure_rejects_a_passing_candidate(self):
+        lf0, hf0, x0, _, _ = quadratic_benchmark_pair()
+
+        class Unlinearizable:
+            def bounds(self):
+                return lf0.bounds()
+
+            def evaluate(self, x):
+                return hf0.evaluate(x)
+
+            def gradients(self, x):
+                if x[0] > 0.5:
+                    raise RuntimeError("no gradient here")
+                return hf0.gradients(x)
+
+        rep = trmm_optimize(lf0, Unlinearizable(), x0, budget=60, max_iter=25)
+        refused = [(prev, e) for prev, e in zip(rep.trace, rep.trace[1:])
+                   if e.rho >= mfopt.ETA_ACCEPT and not e.accepted]
+        assert refused
+        for prev, e in refused:
+            assert e.x[0] > 0.5 and np.isfinite(e.f_hf)
+            assert e.delta == mfopt.SHRINK * prev.delta
+        assert rep.x_best[0] <= 0.5
 
 
 class TestSolveCounters:

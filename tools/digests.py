@@ -32,7 +32,8 @@ The outputs, on both shipped configs at LF and HF where a level applies:
   (tests/test_acceptance.py) and of the toy's budget-3 run.
 
 Wall times, any field or JSON key ending in `_seconds`, are left out.
-`compute(QUICK)` is a subset that runs in about a second.
+`compute(QUICK)` is a subset, the closed-form and budget-3 toy optimizer
+runs among them, that runs in one to two seconds.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ QUICK = (
     "eta/toy_two_panel/",
     "compare_modal/toy_two_panel/",
     "evaluate/wing_default/LF/start",
+    "report/acceptance/closed_form/",
+    "report/toy_two_panel/budget3",
 )
 
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
