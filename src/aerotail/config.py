@@ -1,14 +1,23 @@
 """Run configuration: one JSON document drives both fidelity levels.
 
-The document is validated against the shipped schema first, then against the
-domain rules the constructors enforce (zone bounds ascending, panel indices
-gapless, aileron inside the span, and so on).  Either failure becomes a
-ConfigError carrying a readable message.
+The document is read as JSON that holds only numbers finite as a float:
+`json` alone accepts NaN, Infinity and -Infinity, reads 1e400 as inf, and
+NaN passes every bound of the schema.  It is then validated against the
+shipped schema, and then against the domain rules the constructors enforce
+(zone bounds ascending, panel indices gapless, aileron inside the span, and
+so on).  Each failure becomes a ConfigError carrying a readable message.
+
+The schema's validator is built once per process: reading the schema,
+checking it against its metaschema and compiling it cost more than
+validating a document, and the schema ships with the package.  A schema that
+fails its metaschema raises jsonschema.SchemaError on every load.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -46,6 +55,23 @@ def config_schema() -> dict:
         resources.files("aerotail").joinpath("data/config.schema.json").read_text()
     )
     return json.loads(text)
+
+
+@functools.cache
+def _validator():
+    """The shipped schema's validator, checked against its metaschema:
+    what `jsonschema.validate` builds on every call, built once."""
+    schema = config_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _finite(text: str, parse=float):
+    """`json` number hook: parse text, rejecting numbers not finite as a float."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"number {text} is not finite as a float")
+    return parse(text)
 
 
 @dataclass
@@ -104,17 +130,21 @@ def _fidelity(entry: dict) -> FidelityConfig:
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(
+                fh,
+                parse_float=_finite,
+                parse_int=functools.partial(_finite, parse=int),
+                parse_constant=_finite,
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
 
-    try:
-        jsonschema.validate(raw, config_schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "document root"
-        raise ConfigError(f"schema violation at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "document root"
+        raise ConfigError(f"schema violation at {where}: {error.message}") from error
 
     try:
         planform = Planform(**raw["planform"])

@@ -5,10 +5,12 @@ import inspect
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 import aerotail
+from aerotail import config
 from aerotail.aeroelastic import AileronDef
 from aerotail.cli import EXIT_CONFIG, main
 from aerotail.config import ConfigError, OptimizerSettings, config_schema, load_config
@@ -24,6 +26,16 @@ DEFAULT = os.path.join(DATA_DIR, "wing_default.json")
 def toy_doc():
     with open(TOY, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def reference_message(doc) -> str:
+    """load_config's message for a schema violation, built from
+    jsonschema.validate, which checks the schema and builds a validator on
+    every call."""
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(doc, config_schema())
+    where = "/".join(str(p) for p in info.value.absolute_path) or "document root"
+    return f"schema violation at {where}: {info.value.message}"
 
 
 @pytest.fixture
@@ -54,9 +66,32 @@ class TestShippedConfigs:
         assert cfg.hf_fidelity.mesh_factor == 2 * cfg.lf_fidelity.mesh_factor
 
     def test_schema_document_is_valid_draft7(self):
-        import jsonschema
-
         jsonschema.Draft7Validator.check_schema(config_schema())
+
+    def test_schema_checked_once_per_process(self, monkeypatch):
+        cls = jsonschema.validators.validator_for(config_schema())
+        real = cls.check_schema
+        calls = []
+
+        def spy(schema, *args, **kwargs):
+            calls.append(schema)
+            return real(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", spy)
+        config._validator.cache_clear()
+        load_config(TOY)
+        load_config(DEFAULT)
+        assert calls == [config_schema()]
+
+    def test_invalid_schema_fails_every_load_and_is_not_cached(self, monkeypatch):
+        bad = {**config_schema(), "type": 12}
+        monkeypatch.setattr(config, "config_schema", lambda: bad)
+        config._validator.cache_clear()
+        for _ in range(2):
+            with pytest.raises(jsonschema.SchemaError):
+                load_config(TOY)
+        monkeypatch.undo()
+        assert load_config(TOY).definition.n_panels == 2
 
     def test_initial_design_packs_panels(self):
         cfg = load_config(TOY)
@@ -144,20 +179,23 @@ class TestRejection:
     def test_missing_section(self, write_config):
         doc = toy_doc()
         del doc["materials"]
-        with pytest.raises(ConfigError, match="schema violation"):
+        with pytest.raises(ConfigError, match="schema violation") as info:
             load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
 
     def test_wrong_type_reports_path(self, write_config):
         doc = toy_doc()
         doc["loadcases"][0]["V"] = "fast"
-        with pytest.raises(ConfigError, match="loadcases/0/V"):
+        with pytest.raises(ConfigError, match="loadcases/0/V") as info:
             load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
 
     def test_unknown_key_rejected(self, write_config):
         doc = toy_doc()
         doc["optimizer"]["learning_rate"] = 0.1
-        with pytest.raises(ConfigError, match="schema violation"):
+        with pytest.raises(ConfigError, match="schema violation") as info:
             load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
 
     @pytest.mark.parametrize(
         "key", ["delta0", "delta_max", "delta_min", "merit_weight", "step_tol", "subproblem_tol"]
@@ -165,8 +203,9 @@ class TestRejection:
     def test_fixed_optimizer_constant_rejected(self, write_config, key):
         doc = toy_doc()
         doc["optimizer"][key] = 0.5
-        with pytest.raises(ConfigError, match="schema violation at optimizer"):
+        with pytest.raises(ConfigError, match="schema violation at optimizer") as info:
             load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
 
     @pytest.mark.parametrize(
         "section, key, value", [("structure", "zone_regions", [0])], ids=["zone_regions"]
@@ -175,8 +214,9 @@ class TestRejection:
         doc = toy_doc()
         doc[section][key] = value
         path = write_config(doc)
-        with pytest.raises(ConfigError, match=f"schema violation at {section}"):
+        with pytest.raises(ConfigError, match=f"schema violation at {section}") as info:
             load_config(path)
+        assert str(info.value) == reference_message(doc)
         assert main(["validate-config", "--config", path]) == EXIT_CONFIG
         assert f"schema violation at {section}" in capsys.readouterr().err
 
@@ -184,14 +224,16 @@ class TestRejection:
         doc = toy_doc()
         doc["panels"][0]["lp_a"] = [0.0, 0.0, 0.0, 0.0]
         doc["panels"][0]["lp_d"] = [0.0, 0.0, 0.0, 0.0]
-        with pytest.raises(ConfigError, match="schema violation at panels/0"):
+        with pytest.raises(ConfigError, match="schema violation at panels/0") as info:
             load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
 
     def test_sonic_flow_rejected(self, write_config):
         doc = toy_doc()
         doc["loadcases"][0]["mach"] = 1.0
-        with pytest.raises(ConfigError, match="schema violation"):
+        with pytest.raises(ConfigError, match="schema violation") as info:
             load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
 
     def test_panel_count_mismatch(self, write_config):
         doc = toy_doc()
@@ -214,11 +256,56 @@ class TestRejection:
     def test_empty_output_directory_rejected(self, write_config):
         doc = toy_doc()
         doc["output"]["directory"] = ""
-        with pytest.raises(ConfigError, match="schema violation"):
+        with pytest.raises(ConfigError, match="schema violation") as info:
             load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
 
     def test_knockdown_above_one_rejected(self, write_config):
         doc = toy_doc()
         doc["fidelity"]["hf"]["torsion_knockdown"] = 1.2
-        with pytest.raises(ConfigError, match="schema violation"):
+        with pytest.raises(ConfigError, match="schema violation") as info:
             load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            dict.clear,
+            lambda d: d.update(loadcases=[]),
+            # validate reports the shallower error, not the first one found
+            lambda d: d.update(panels=[]) or d["planform"].update(semi_span=-1.0),
+        ],
+        ids=["empty_document", "empty_loadcases", "two_errors"],
+    )
+    def test_schema_violation_reports_validates_message(self, write_config, edit):
+        doc = toy_doc()
+        edit(doc)
+        with pytest.raises(ConfigError, match="schema violation") as info:
+            load_config(write_config(doc))
+        assert str(info.value) == reference_message(doc)
+
+    @pytest.mark.parametrize(
+        "text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "int401"],
+    )
+    @pytest.mark.parametrize(
+        "where",
+        [("loadcases", 0, "eta_min"), ("loadcases", 0, "V"), ("structure", "fixed_mass"),
+         ("panels", 0, "thickness"), ("panels", 1, "stack", 0)],
+        ids=["eta_min", "V", "fixed_mass", "thickness", "stack"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, where, text):
+        # json reads all five (1e400 as inf, the integer only as an int
+        # too large for a float), and NaN passes every bound of the schema
+        doc = toy_doc()
+        *parents, key = where
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[key] = "<number>"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc).replace('"<number>"', text))
+        with pytest.raises(ConfigError, match="not finite as a float"):
+            load_config(str(path))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert "not finite as a float" in capsys.readouterr().err

@@ -19,6 +19,8 @@ digests of two runs would not be comparable otherwise.
 
 The outputs, on both shipped configs at LF and HF where a level applies:
 
+- the loaded RunConfig of both configs, and the ConfigError message of each
+  invalid document in INVALID_CONFIGS (edits of the toy config);
 - evaluate (f, c, mask, nonsmooth) and gradients (grad_f, grad_c,
   n_evaluates) at the start design and seeded designs 1-3;
 - the trim (u, alpha, total lift) and the aileron effectiveness eta of
@@ -65,6 +67,8 @@ FLUTTER_BRACKET = (150.0, 600.0)  # m/s, straddles the crossing of seeded wing_d
 
 # names of the subset a tier-1 test computes twice in one process
 QUICK = (
+    "config/",
+    "config_error/",
     "evaluate/toy_two_panel/",
     "gradients/toy_two_panel/",
     "trim/toy_two_panel/",
@@ -74,6 +78,24 @@ QUICK = (
     "report/acceptance/closed_form/",
     "report/toy_two_panel/budget3",
 )
+
+# invalid documents that load_config rejects: each edits the toy config in place
+INVALID_CONFIGS = {
+    "missing_section": lambda d: d.pop("materials"),
+    "wrong_type": lambda d: d["loadcases"][0].update(V="fast"),
+    "extra_key": lambda d: d["optimizer"].update(learning_rate=0.1),
+    "removed_key": lambda d: d["optimizer"].update(delta0=0.5),
+    "panel_two_forms": lambda d: d["panels"][0].update(lp_a=[0.0] * 4),
+    "sonic_flow": lambda d: d["loadcases"][0].update(mach=1.0),
+    "empty_output_directory": lambda d: d["output"].update(directory=""),
+    "knockdown_above_one": lambda d: d["fidelity"]["hf"].update(torsion_knockdown=1.2),
+    "empty_panels": lambda d: d.update(panels=[]),
+    "empty_document": dict.clear,
+    "two_errors": lambda d: d.update(panels=[]) or d["planform"].update(semi_span=-1.0),
+    "zone_bounds_descending": lambda d: d["structure"].update(zone_bounds=[1.0, 0.0]),
+    "aileron_outside_span": lambda d: d["structure"]["aileron"].update(y_end=5.0),
+    "panel_count": lambda d: d["panels"].append({"stack": [0.0], "thickness": 1.0e-3}),
+}
 
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
@@ -94,6 +116,34 @@ def _shipped(name: str):
     cfg = load_config(os.path.join(os.path.dirname(aerotail.__file__), "data", name + ".json"))
     lf, hf = cfg.analyses()
     return cfg, lf, hf
+
+
+def _config_outputs():
+    """(name, thunk) of both shipped configs as loaded, and of the ConfigError
+    message of every invalid document."""
+    import aerotail
+    from aerotail.config import ConfigError, load_config
+
+    data = os.path.join(os.path.dirname(aerotail.__file__), "data")
+    for name in CONFIGS:
+        yield f"config/{name}", lambda name=name: load_config(os.path.join(data, name + ".json"))
+
+    def message(case):
+        with open(os.path.join(data, "toy_two_panel.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        INVALID_CONFIGS[case](doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            try:
+                load_config(path)
+            except ConfigError as exc:
+                return str(exc)
+        raise AssertionError(f"config_error/{case}: the document loads")
+
+    for case in INVALID_CONFIGS:
+        yield f"config_error/{case}", lambda case=case: message(case)
 
 
 def seeded_design(cfg, seed: int) -> np.ndarray:
@@ -267,6 +317,7 @@ def _reports():
 
 def outputs():
     """(name, thunk) of every digested output, in a fixed order."""
+    yield from _config_outputs()
     yield from _model_outputs()
     yield from _comparisons()
     yield from _cli_outputs()
