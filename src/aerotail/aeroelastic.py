@@ -3,8 +3,8 @@
 Static solves couple the beam internal force with the linearized aero
 stiffness, optionally trimming the rigid incidence so total lift matches a
 target.  That problem is linear in the displacements and the incidence,
-so it takes one solve plus a residual check.  Dynamic stability
-assembles the first-order state matrix
+so it takes one solve plus a check of its backward error.  Dynamic
+stability assembles the first-order state matrix
 
     d/dt [u, v] = [[0, I], [-M^-1 (K - K_a), -M^-1 (C_s - D_a)]] [u, v]
 
@@ -18,7 +18,7 @@ Hodges & Pierce, Introduction to Structural Dynamics and Aeroelasticity,
 2011).  Aileron effectiveness solves the antisymmetric-image problem, since
 a rolling control input loads the two half wings with opposite sign.
 
-The same models take structured solves everywhere; _solve_free and
+The same models take structured solves everywhere; _equilibrium and
 _stability_basis pick them:
 
 - K_ff is banded (half-bandwidth 11 on the shipped wings), so the model
@@ -28,8 +28,9 @@ _stability_basis pick them:
   and the aileron apply K_ff^-1 to the right-hand side, f_alpha and k_wash,
   and a capacitance system with one unknown per strip, bordered by the lift
   row when trimmed, closes the update (the Woodbury identity; Hager, SIAM
-  Review, 1989).  That is not backward stable, so both solves check their
-  equilibrium residual.
+  Review, 1989).  That is not backward stable, so _equilibrium checks the
+  backward error of every trim and aileron solve (Higham, Accuracy and
+  Stability of Numerical Algorithms, 2002, section 7.1).
 - In modal coordinates M is the identity and K and the Rayleigh damping
   are diagonal, Lambda and a I + b Lambda with Lambda the squared basis
   frequencies, and the aero operators are read only on their support.
@@ -69,7 +70,7 @@ _DEGENERATE_TOL = 1e-6
 ZETA = 0.005  # structural damping ratio at the two lowest modes
 N_MODES = 40  # structural modes spanning the stability problem of larger models
 N_STABILITY = 10  # leading state-matrix eigenvalues kept per stability solve
-_TRIM_TOL = 1e-10  # relative residual of the trim and aileron equilibria and the lift target
+_TRIM_TOL = 1e-13  # largest backward error of a trim or aileron solve
 FLUTTER_TOL = 1e-4  # relative width of the critical-speed bracket at return
 FLUTTER_MAX_ITER = 80  # bisection halvings before critical_speed gives up
 
@@ -133,28 +134,50 @@ def _low_rank_solve(
     return y[:, 0] + y[:, 2:] @ sol[:m] + y[:, 1] * sol[m], sol[m]
 
 
-def _solve_free(
+def _equilibrium(
     model: BeamModel,
-    k_a: np.ndarray,
-    k_wash: np.ndarray,
-    wash: np.ndarray,
+    ops: AeroOperators | AileronOperators,
     b: np.ndarray,
     border: tuple | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Free-dof u with (K - k_a)_ff u = b, bordered as in _low_rank_solve; returns (u, s).
+    """Full-dof u and border unknown s of (K - K_a)_ff u_f = b, with b on the free dofs.
 
-    _modal models go through _low_rank_solve with k_a = k_wash wash; smaller
-    ones solve (K - k_a)_ff by dense LU, bordered when border is given, on
-    one design or on each of a stack (b and the border's t then per design).
+    border and s are as in _low_rank_solve, which solves _modal models;
+    smaller ones take dense LU, bordered when asked, per design of a stack
+    (b and t then per design).  Raises RuntimeError when the backward error
+    of any design exceeds _TRIM_TOL: the residual, border row included, over
+    the size of its terms, |K - K_a| |u| + |c| |s| + |b| and |l| |u| + |d| |s|
+    + |t| (Oettli & Prager, 1964), with |K_a| |u| bounded by |k_wash| (|wash| |u|).
     """
+    free = model.free
     if _modal(model):
-        return _low_rank_solve(model, k_wash, wash, b, border)
-    a = model.free_block(model.stiffness() - k_a)
-    if border is None:
-        return _solve(a, b), 0.0
-    c, l, d, t = border
-    sol = _solve(_bordered(a, -c, l, d), np.concatenate([b, np.asarray(t)[..., None]], axis=-1))
-    return sol[..., :-1], sol[..., -1]
+        u_f, s = _low_rank_solve(model, ops.k_wash, ops.wash, b, border)
+    elif border is None:
+        u_f, s = _solve(model.free_block(model.stiffness() - ops.K_a), b), 0.0
+    else:
+        c, l, d, t = border
+        a = _bordered(model.free_block(model.stiffness() - ops.K_a), -c, l, d)
+        sol = _solve(a, np.concatenate([b, np.asarray(t)[..., None]], axis=-1))
+        u_f, s = sol[..., :-1], sol[..., -1]
+    u = np.zeros(model.stack + (model.n_dof,))
+    u[..., free] = u_f
+
+    k, abs_u = model.stiffness(), np.abs(u)
+    r = (stack_matvec(k, u) - stack_matvec(ops.K_a, u))[..., free] - b
+    size = (stack_matvec(np.abs(k), abs_u) + stack_matvec(
+        np.abs(ops.k_wash), stack_matvec(np.abs(ops.wash), abs_u)))[..., free] + np.abs(b)
+    r_lift = size_lift = 0.0
+    if border is not None:
+        c, l, d, t = border
+        r = r - np.multiply.outer(s, c)
+        size = size + np.multiply.outer(np.abs(s), np.abs(c))
+        r_lift = u_f @ l + d * s - t
+        size_lift = np.abs(u_f) @ np.abs(l) + np.abs(d * s) + np.abs(t)
+    r_norm, size_norm = np.hypot(_norm(r), r_lift), np.hypot(_norm(size), size_lift)
+    if np.any(r_norm > _TRIM_TOL * size_norm):
+        eta = np.max(r_norm / size_norm)
+        raise RuntimeError(f"missed equilibrium: backward error {eta:.3g} above {_TRIM_TOL:g}")
+    return u, s
 
 
 @dataclass
@@ -171,50 +194,31 @@ def static_aeroelastic(
     model: BeamModel,
     ops: AeroOperators,
     flow: FlowConditions,
-    extra_loads: np.ndarray | None = None,
+    extra_loads: np.ndarray,
     trim_lift: float | None = None,
 ) -> StaticAeroelasticResult:
-    """Equilibrium of the flexible wing in the given flow.
+    """Equilibrium of the flexible wing in the given flow under extra_loads.
 
     With trim_lift set, the rigid incidence becomes an unknown and the total
     aerodynamic lift of the modeled half wing is driven to that value.  The
     problem is linear in (u, alpha), so one solve from u = 0 gives the
     equilibrium: (K - K_a)_ff at fixed incidence, the same block bordered by
-    the lift row when trimmed, both by _solve_free.  The residuals of
-    equilibrium and lift target are then checked against _TRIM_TOL; a miss
-    raises RuntimeError.  On a stacked model extra_loads and trim_lift are
-    per design, and a miss of any design raises.
+    the lift row when trimmed, both by _equilibrium, whose backward-error
+    check raises RuntimeError on a miss.  On a stacked model extra_loads and
+    trim_lift are per design, and a miss of any design raises.
     """
-    n_dof = model.n_dof
     free = model.free
-    extra = np.zeros(n_dof) if extra_loads is None else np.asarray(extra_loads, dtype=float)
-    sz = lift_indicator(n_dof)
-    k = model.stiffness()
-    trim = trim_lift is not None
-    u = np.zeros(model.stack + (n_dof,))
-    alpha = flow.alpha
-    f_rigid = ops.f_alpha * alpha
-    lift_scale = np.maximum(np.abs(trim_lift) if trim else 0.0,
-                            max(np.abs(ops.f_alpha).sum(), 1.0))
-    force_scale = np.maximum(_norm(f_rigid + extra), lift_scale)
-
+    sz = lift_indicator(model.n_dof)
+    f_rigid = ops.f_alpha * flow.alpha
     border = None
-    if trim:
+    if trim_lift is not None:
         border = (ops.f_alpha[free], ops.lift_row[free], ops.lift_alpha,
                   trim_lift - sz @ f_rigid)
-    u[..., free], d_alpha = _solve_free(
-        model, ops.K_a, ops.k_wash, ops.wash, (f_rigid + extra)[..., free], border
-    )
-    alpha += d_alpha
-
+    u, d_alpha = _equilibrium(model, ops, (f_rigid + extra_loads)[..., free], border)
+    alpha = flow.alpha + d_alpha
     f_aero = stack_matvec(ops.K_a, u) + np.multiply.outer(alpha, ops.f_alpha)
-    r_struct = (stack_matvec(k, u) - f_aero - extra)[..., free]
-    lift = np.vecdot(f_aero, sz)
-    r_lift = (lift - trim_lift) if trim else 0.0
-    if np.any((_norm(r_struct) > _TRIM_TOL * force_scale)
-              | (np.abs(r_lift) > _TRIM_TOL * lift_scale)):
-        raise RuntimeError("static aeroelastic solve missed equilibrium")
-    return StaticAeroelasticResult(u=u, alpha=alpha, total_lift=lift, iterations=1)
+    return StaticAeroelasticResult(u=u, alpha=alpha, total_lift=np.vecdot(f_aero, sz),
+                                   iterations=1)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -391,7 +395,7 @@ class AileronDef:
 class AileronOperators:
     """Flow-and-geometry part of the aileron problem, independent of the structure.
 
-    w_anti is the antisymmetric-image AIC, k_a the antisymmetric aero
+    w_anti is the antisymmetric-image AIC, K_a the antisymmetric aero
     stiffness on beam dofs, equal to k_wash @ wash in exact arithmetic as
     in AeroOperators, f_delta the nodal load of the rigid aileron lift, and
     roll_rigid its rolling moment.
@@ -402,7 +406,7 @@ class AileronOperators:
     alpha_delta: np.ndarray
     w_anti: np.ndarray
     t_wash: np.ndarray
-    k_a: np.ndarray
+    K_a: np.ndarray
     k_wash: np.ndarray
     wash: np.ndarray
     f_delta: np.ndarray
@@ -434,7 +438,7 @@ def aileron_operators(
         alpha_delta=alpha_delta,
         w_anti=w_anti,
         t_wash=t_wash,
-        k_a=k_a,
+        K_a=k_a,
         k_wash=k_wash,
         wash=wash,
         f_delta=t_load @ lift_r,
@@ -445,19 +449,12 @@ def aileron_operators(
 def aileron_solve(model: BeamModel, ops: AileronOperators) -> float:
     """Aileron effectiveness eta: flexible over rigid rolling moment per unit deflection.
 
-    The flexible response (K - k_a)_ff u = f_delta is solved by _solve_free,
-    and its residual is checked against _TRIM_TOL as the trim's is; a miss
-    raises RuntimeError.  A stacked model gives one eta per design, and a
-    miss of any design raises.
+    The flexible response (K - K_a)_ff u = f_delta is solved and checked by
+    _equilibrium, as the trim is; a miss raises RuntimeError.  A stacked
+    model gives one eta per design, and a miss of any design raises.
     """
     lattice, flow = ops.lattice, ops.flow
-    free = model.free
-    u = np.zeros(model.stack + (model.n_dof,))
-    u[..., free], _ = _solve_free(model, ops.k_a, ops.k_wash, ops.wash, ops.f_delta[free])
-    r_struct = (stack_matvec(model.stiffness(), u) - stack_matvec(ops.k_a, u)
-                - ops.f_delta)[..., free]
-    if np.any(_norm(r_struct) > _TRIM_TOL * max(np.abs(ops.f_delta).sum(), 1.0)):
-        raise RuntimeError("aileron solve missed equilibrium")
+    u, _ = _equilibrium(model, ops, ops.f_delta[model.free])
     rhs = -flow.V * (ops.alpha_delta + stack_matvec(ops.t_wash, u))
     # one LU per design: a shared factor with many right-hand sides rounds differently
     w_anti = np.broadcast_to(ops.w_anti, rhs.shape[:-1] + ops.w_anti.shape)

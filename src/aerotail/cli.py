@@ -260,7 +260,7 @@ def main(argv=None) -> int:
             _compare(args, cfg, out)
         else:
             _optimize(args, cfg, out)
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: analysis: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     print(f"wrote {args.command} outputs to {out}")

@@ -340,10 +340,9 @@ class WingAnalysis:
                               sec.thickness[..., bay, :], strains)
             w = tsai_wu_factor((s[..., 0], s[..., 1], s[..., 2]), defn.material) - 1.0
             w = w.reshape(w.shape[:-2] + (-1,))  # element by element, walls in contour order
-            c[..., lay.rows(i_lc, "tw")] = np.concatenate(
-                [pad_critical(w[..., i], N_TSAI_WU) for i in model.structure.panel_stations],
-                axis=-1,
-            )
+            w = np.concatenate([w, np.full(w.shape[:-1] + (1,), CRITICAL_PAD_SENTINEL)], axis=-1)
+            tw = pad_critical(w[..., model.structure.panel_stations], N_TSAI_WU)
+            c[..., lay.rows(i_lc, "tw")] = tw.reshape(tw.shape[:-2] + (-1,))
 
         if self._have("ds"):
             stab = dynamic_stability(beam, model.structure.aero(lc.flow), shapes=False)

@@ -135,9 +135,9 @@ class WingStructure:
     congruence, beam nodes and the free dofs of every model on them,
     element geometry and assembly indices, point masses, the wall-area
     table behind the mass thickness gradient, the Tsai-Wu stations of every
-    panel, and the vortex lattice.  Built once per
-    definition and level by `wing_structure`; `build` adds a design or a
-    stack of them.
+    panel as one padded (n_panels, max_stations) index, and the vortex
+    lattice.  Built once per definition and level by `wing_structure`;
+    `build` adds a design or a stack of them.
 
     No design changes the nodes or the lattice, so the aero operators built
     from them at one flow serve every design: `aero` and `aileron` build
@@ -181,11 +181,14 @@ class WingStructure:
         area = defn.material.rho * arc * self.bay_axis_length[:, None]
         self.thickness_gradient = np.cumsum(area, axis=0)[-1]
         station_panel = self.bay_panel[self.element_bay].ravel()
-        self.panel_stations = tuple(
-            np.flatnonzero(station_panel == p) for p in range(defn.n_panels)
+        stations = [np.flatnonzero(station_panel == p) for p in range(defn.n_panels)]
+        width = max(i.size for i in stations)
+        # padded with the index of the sentinel column the Tsai-Wu rows append
+        self.panel_stations = np.array(
+            [np.pad(i, (0, width - i.size), constant_values=station_panel.size) for i in stations]
         )
         for a in (self.bay_panel, self.knockdown, self.free, self.element_bay,
-                  self.bay_axis_length, self.thickness_gradient):
+                  self.bay_axis_length, self.thickness_gradient, self.panel_stations):
             a.flags.writeable = False
         self._aero: dict[FlowConditions, AeroOperators] = {}
         self._aileron: dict[FlowConditions, AileronOperators] = {}

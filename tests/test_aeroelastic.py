@@ -68,49 +68,50 @@ class TestStatic:
         self.lat = wing_lattice()
         self.flow = FlowConditions(V=40.0, rho=1.2, alpha=0.04)
         self.ops = aero_operators(self.lat, self.flow, self.model.nodes)
+        self.zero = np.zeros(self.model.n_dof)
 
     def test_equilibrium_residual(self):
-        res = static_aeroelastic(self.model, self.ops, self.flow)
+        res = static_aeroelastic(self.model, self.ops, self.flow, self.zero)
         r = (self.model.stiffness() - self.ops.K_a) @ res.u - self.ops.f_alpha * self.flow.alpha
         assert np.linalg.norm(r[self.model.free]) < 1e-8 * np.abs(self.ops.f_alpha).sum()
 
     def test_flexible_wing_lifts_more(self):
         # quarter-chord load ahead of the elastic axis washes the wing in
-        res = static_aeroelastic(self.model, self.ops, self.flow)
+        res = static_aeroelastic(self.model, self.ops, self.flow, self.zero)
         rigid = self.ops.f_alpha[2::6].sum() * self.flow.alpha
         assert res.total_lift > rigid
 
     def test_trim_hits_target(self):
         target = 5.0e3
-        res = static_aeroelastic(self.model, self.ops, self.flow, trim_lift=target)
+        res = static_aeroelastic(self.model, self.ops, self.flow, self.zero, trim_lift=target)
         assert res.total_lift == pytest.approx(target, rel=1e-9)
 
     def test_trim_round_trip(self):
-        fixed = static_aeroelastic(self.model, self.ops, self.flow)
+        fixed = static_aeroelastic(self.model, self.ops, self.flow, self.zero)
         trimmed = static_aeroelastic(
-            self.model, self.ops, self.flow, trim_lift=fixed.total_lift
+            self.model, self.ops, self.flow, self.zero, trim_lift=fixed.total_lift
         )
         assert trimmed.alpha == pytest.approx(self.flow.alpha, rel=1e-9)
 
     def test_extra_loads_superpose(self):
         f_pt = np.zeros(self.model.n_dof)
         f_pt[-4] = 800.0
-        a = static_aeroelastic(self.model, self.ops, self.flow)
+        a = static_aeroelastic(self.model, self.ops, self.flow, self.zero)
         b = static_aeroelastic(self.model, self.ops, self.flow, extra_loads=f_pt)
         flow0 = FlowConditions(V=self.flow.V, rho=self.flow.rho, alpha=0.0)
         c = static_aeroelastic(self.model, self.ops, flow0, extra_loads=f_pt)
         assert np.allclose(b.u, a.u + c.u, atol=1e-12 + 1e-9 * np.abs(a.u).max())
 
     def test_fixed_and_trimmed_solves_take_one_step(self):
-        fixed = static_aeroelastic(self.model, self.ops, self.flow)
-        trimmed = static_aeroelastic(self.model, self.ops, self.flow, trim_lift=5.0e3)
+        fixed = static_aeroelastic(self.model, self.ops, self.flow, self.zero)
+        trimmed = static_aeroelastic(self.model, self.ops, self.flow, self.zero, trim_lift=5.0e3)
         assert fixed.iterations == 1 and trimmed.iterations == 1
 
     @pytest.mark.parametrize("trim_lift", [None, 5.0e3])
     def test_missed_equilibrium_raises(self, monkeypatch, trim_lift):
         monkeypatch.setattr(aeroelastic, "_TRIM_TOL", 0.0)
         with pytest.raises(RuntimeError, match="equilibrium"):
-            static_aeroelastic(self.model, self.ops, self.flow, trim_lift=trim_lift)
+            static_aeroelastic(self.model, self.ops, self.flow, self.zero, trim_lift=trim_lift)
 
 
 class TestDivergence:
@@ -446,10 +447,10 @@ def reference_trim(beam, ops, flow, extra, trim_lift):
 
 
 def reference_eta(beam, ail):
-    """Aileron effectiveness from a dense (K - k_a)_ff solve."""
+    """Aileron effectiveness from a dense (K - K_a)_ff solve."""
     u = np.zeros(beam.n_dof)
     u[beam.free] = scipy.linalg.solve(
-        beam.free_block(beam.stiffness() - ail.k_a), ail.f_delta[beam.free]
+        beam.free_block(beam.stiffness() - ail.K_a), ail.f_delta[beam.free]
     )
     flow, lat = ail.flow, ail.lattice
     gamma = np.linalg.solve(ail.w_anti, -flow.V * (ail.alpha_delta + ail.t_wash @ u))
@@ -640,6 +641,37 @@ class TestResidualChecks:
         monkeypatch.setattr(aeroelastic, "_TRIM_TOL", 0.0)
         with pytest.raises(RuntimeError, match="equilibrium"):
             analysis.trim(model, 0)
+
+    @pytest.mark.parametrize("name", ["toy_two_panel.json", "wing_default.json"])
+    @pytest.mark.parametrize("level", ["LF", "HF"])
+    def test_solution_off_by_1e8_raises(self, monkeypatch, name, level):
+        """The backward-error check has teeth: a free-dof solution scaled by
+        1 + 1e-8 fails it, on the modal path of wing_default and the dense
+        path of a toy stack, in the trim and, where it is a constraint (LF),
+        in the aileron."""
+        cfg, analyses = shipped(name)
+        analysis = analyses[level]
+        xs = [cfg.initial_design(), seeded_design(cfg, 1)]
+        if name == "wing_default.json":
+            model = analysis.build_model(xs[0])
+            assert model.beam.free.size > N_MODES
+        else:
+            panels = [unpack_design(x, len(cfg.panels)) for x in xs]
+            model = build_wing_model(cfg.definition, panels, analysis.fidelity)
+            assert model.beam.stack == (2,) and model.beam.free.size <= N_MODES
+        ail = model.structure.aileron(analysis.loadcases[0].flow)
+        analysis.trim(model, 0)
+        aileron_solve(model.beam, ail)
+
+        low_rank, dense = aeroelastic._low_rank_solve, aeroelastic._solve
+        monkeypatch.setattr(aeroelastic, "_low_rank_solve",
+                            lambda *a: tuple(v * (1.0 + 1e-8) for v in low_rank(*a)))
+        monkeypatch.setattr(aeroelastic, "_solve", lambda *a: dense(*a) * (1.0 + 1e-8))
+        with pytest.raises(RuntimeError, match="equilibrium"):
+            analysis.trim(model, 0)
+        if level == "LF":
+            with pytest.raises(RuntimeError, match="equilibrium"):
+                aileron_solve(model.beam, ail)
 
 
 class TestAileron:

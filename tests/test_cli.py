@@ -4,11 +4,13 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 import aerotail
 from aerotail import cli
 from aerotail.aeroelastic import N_MODES, dynamic_stability
+from aerotail.beam import BeamModel
 from aerotail.cli import EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, main
 from aerotail.compare import compare_static
 from aerotail.config import load_config
@@ -159,10 +161,19 @@ class TestAnalyze:
         trim = json.loads(open(os.path.join(out, "trim_LF.json")).read())
         assert sorted(trim["results"]) == names
 
-    def test_analysis_failure_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fault", ["no_modes", "linalg"])
+    def test_analysis_failure_exits_3(self, tmp_path, capsys, monkeypatch, fault):
+        modes = "0"
+        if fault == "linalg":
+            # numpy's LinAlgError is a ValueError, so the CLI needs no clause of its own
+            def singular(self, n_modes):
+                raise np.linalg.LinAlgError("singular matrix")
+
+            monkeypatch.setattr(BeamModel, "modal", singular)
+            modes = "4"
         out = str(tmp_path / "o")
         code = run("analyze", "--case", "modal", "--config", TOY,
-                   "--modes", "0", "--out", out)
+                   "--modes", modes, "--out", out)
         assert code == EXIT_ANALYSIS
         assert "error: analysis:" in capsys.readouterr().err
 

@@ -111,3 +111,17 @@ def test_workload_operations_pass_their_checks(perfbench, tmp_path, name):
             w.check_op()
             w.setup(workloads.SETUP_REPEATS_PER_OP)
         w.final_checks()
+
+
+def test_wing_eval_seed22_op25_passes_its_check(perfbench, tmp_path):
+    """A valid design whose (K - K_a)_ff has condition number 1e9.
+
+    Its aileron solve read 1.23 times a residual bound set by a fixed load
+    scale, and dense LU 0.95 times, so that bound refused it and exited a
+    30 s wing-eval run at seed 22 with 1.  Its backward error is 1.1e-16.
+    """
+    _, _, workloads = perfbench
+    w = workloads.Workload("wing-eval", os.path.join(PERFBENCH, os.pardir), 22, str(tmp_path))
+    w.setup(1)
+    w.run_op(25)  # evaluates w.design(25) at LF, then at HF
+    w.check_op()

@@ -25,6 +25,9 @@ The outputs, on both shipped configs at LF and HF where a level applies:
   n_evaluates) at the start design and seeded designs 1-3;
 - the trim (u, alpha, total lift) and the aileron effectiveness eta of
   every load case of those designs;
+- evaluate, trim and eta at both wing_default levels of the design of
+  wing-eval seed 22's operation 25 (perfbench's seeded design), whose
+  (K - K_a)_ff has condition number 1e9;
 - compare_static, compare_modal and compare_aeroelastic (first load case's
   flow) at the start design and seeded design 1;
 - critical_speed at both levels on wing_default seeded designs 1-2;
@@ -33,7 +36,9 @@ The outputs, on both shipped configs at LF and HF where a level applies:
 - the OptimizerReports of the multi-fidelity acceptance scenario
   (tests/test_acceptance.py) and of the toy's budget-3 run.
 
-Wall times, any field or JSON key ending in `_seconds`, are left out.
+Wall times, any field or JSON key ending in `_seconds`, are left out.  An
+output that raises ValueError or RuntimeError digests as the exception's
+type and message.
 `compute(QUICK)` is a subset, the closed-form and budget-3 toy optimizer
 runs among them, that runs in one to two seconds.
 """
@@ -64,6 +69,7 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("toy_two_panel", "wing_default")
 SEEDS = (1, 2, 3)
 FLUTTER_BRACKET = (150.0, 600.0)  # m/s, straddles the crossing of seeded wing_default designs
+WING_EVAL_OP = (22, 25)  # (seed, operation) of a perfbench wing-eval design
 
 # names of the subset a tier-1 test computes twice in one process
 QUICK = (
@@ -101,8 +107,8 @@ _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|na
 
 
 def _use_tree(root: str) -> None:
-    """Import aerotail and the test oracles from the tree at root."""
-    for sub in ("tests", "src"):
+    """Import aerotail, the test oracles and perfbench's workloads from the tree at root."""
+    for sub in ("perfbench", "tests", "src"):
         sys.path.insert(0, os.path.join(root, sub))
 
 
@@ -167,40 +173,66 @@ def _designs(cfg):
         yield f"seed{seed}", seeded_design(cfg, seed)
 
 
-def _model_outputs():
-    """(name, thunk) of evaluate, gradients, trim and eta on both configs."""
+@functools.lru_cache(maxsize=None)
+def _wing_eval_design() -> np.ndarray:
+    """The design of wing-eval operation WING_EVAL_OP[1] at seed WING_EVAL_OP[0]."""
+    import aerotail
+    import workloads
+
+    with open(os.path.join(os.path.dirname(aerotail.__file__), "data", "wing_default.json"),
+              encoding="utf-8") as fh:
+        shipped = json.load(fh)["panels"]
+    seed, op = WING_EVAL_OP
+    return workloads.design_vector(
+        workloads.seeded_panels(shipped, np.random.default_rng([seed, op + 1]))
+    )
+
+
+def _design_outputs(cfg, ana, key: str, design, gradients: bool = True):
+    """(name, thunk) of evaluate, gradients when asked, and trim and eta per
+    load case, at the design vector design() returns."""
     from aerotail.aeroelastic import aileron_solve
 
+    def evaluate():
+        out = ana.evaluate(design())
+        return (out.f, out.c, out.mask, out.nonsmooth)
+
+    def grads():
+        g = ana.gradients(design())
+        return (g.grad_f, g.grad_c, g.n_evaluates)
+
+    yield f"evaluate/{key}", evaluate
+    if gradients:
+        yield f"gradients/{key}", grads
+    for i_lc, lc in enumerate(ana.loadcases):
+
+        def trim(i_lc=i_lc):
+            res = ana.trim(ana.build_model(design()), i_lc)
+            return (res.u, res.alpha, res.total_lift)
+
+        yield f"trim/{key}/lc{i_lc}", trim
+        if cfg.definition.aileron is not None:
+
+            def eta(flow=lc.flow):
+                model = ana.build_model(design())
+                return aileron_solve(model.beam, model.structure.aileron(flow))
+
+            yield f"eta/{key}/lc{i_lc}", eta
+
+
+def _model_outputs():
+    """(name, thunk) of evaluate, gradients, trim and eta on both configs, and
+    of evaluate, trim and eta of the wing-eval design."""
     for name in CONFIGS:
         cfg, lf, hf = _shipped(name)
         for ana in (lf, hf):
             for tag, x in _designs(cfg):
-                key = f"{name}/{ana.level}/{tag}"
-
-                def evaluate(ana=ana, x=x):
-                    out = ana.evaluate(x)
-                    return (out.f, out.c, out.mask, out.nonsmooth)
-
-                def gradients(ana=ana, x=x):
-                    g = ana.gradients(x)
-                    return (g.grad_f, g.grad_c, g.n_evaluates)
-
-                yield f"evaluate/{key}", evaluate
-                yield f"gradients/{key}", gradients
-                for i_lc, lc in enumerate(ana.loadcases):
-
-                    def trim(ana=ana, x=x, i_lc=i_lc):
-                        res = ana.trim(ana.build_model(x), i_lc)
-                        return (res.u, res.alpha, res.total_lift)
-
-                    yield f"trim/{key}/lc{i_lc}", trim
-                    if cfg.definition.aileron is not None:
-
-                        def eta(ana=ana, x=x, flow=lc.flow):
-                            model = ana.build_model(x)
-                            return aileron_solve(model.beam, model.structure.aileron(flow))
-
-                        yield f"eta/{key}/lc{i_lc}", eta
+                yield from _design_outputs(cfg, ana, f"{name}/{ana.level}/{tag}", lambda x=x: x)
+    cfg, lf, hf = _shipped("wing_default")
+    seed, op = WING_EVAL_OP
+    for ana in (lf, hf):
+        key = f"wing_default/{ana.level}/wing_eval_seed{seed}_op{op}"
+        yield from _design_outputs(cfg, ana, key, _wing_eval_design, gradients=False)
 
 
 def _comparisons():
@@ -376,7 +408,11 @@ def compute(select=None) -> dict:
     out = {}
     for name, thunk in outputs():
         if select is None or name.startswith(tuple(select)):
-            out[name] = digest(thunk())
+            try:
+                value = thunk()
+            except (ValueError, RuntimeError) as exc:
+                value = f"{type(exc).__name__}: {exc}"
+            out[name] = digest(value)
     return out
 
 
